@@ -242,11 +242,8 @@ func benchRNG() *rand.Rand { return rand.New(rand.NewSource(3)) }
 
 // runEngineBench executes one plan repeatedly on the in-process engine with
 // paced transfers (5µs per block×unit-cost — the modeled link time a real
-// cluster would spend on the wire) and reports blocks moved per second of
-// modeled+real time. Sequential vs pipelined on the same plan isolates the
-// executor: the sequential op loop leaves the link idle while it waits in
-// RecvC, the pipelined executor does not.
-func runEngineBench(b *testing.B, pipelined, onePort bool) {
+// cluster would spend on the wire), with or without the one-port gate.
+func runEngineBench(b *testing.B, onePort bool) {
 	pl := platform.Homogeneous(4, 1, 1, 60)
 	inst := sched.Instance{R: 8, S: 16, T: 6}
 	res, err := sched.Het{}.Schedule(pl, inst)
@@ -264,37 +261,31 @@ func runEngineBench(b *testing.B, pipelined, onePort bool) {
 	c0.FillRandom(rng)
 	cfg := engine.Config{
 		Workers: pl.P(), T: inst.T, Platform: pl, TimePerUnit: 5 * time.Microsecond,
-		Pipelined: pipelined, OnePort: onePort,
+		OnePort: onePort,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c := c0.Clone()
 		b.StartTimer()
-		if err := engine.Run(cfg, plan, a, bm, c); err != nil {
+		if err := engine.Run(context.Background(), cfg, plan, a, bm, c, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkEngineRun is the sequential executor: ops issued strictly in plan
-// order from one goroutine, every paced transfer and every RecvC wait
-// serializing against everything else.
-func BenchmarkEngineRun(b *testing.B) { runEngineBench(b, false, false) }
-
-// BenchmarkEngineRunPipelined is the concurrent executor on the same plan:
-// per-worker dispatch goroutines overlap transfers to distinct workers with
-// each other and with all compute. C is bitwise-identical to the sequential
-// run's.
-func BenchmarkEngineRunPipelined(b *testing.B) { runEngineBench(b, true, false) }
+// BenchmarkEngineRunPipelined is the executor on a paced plan: per-worker
+// dispatch goroutines overlap transfers to distinct workers with each other
+// and with all compute.
+func BenchmarkEngineRunPipelined(b *testing.B) { runEngineBench(b, false) }
 
 // BenchmarkEngineRunPipelinedOnePort adds the one-port gate: transfers
 // serialize (the paper's model) but compute still overlaps, bounding the
 // run by total transfer time rather than total transfer+wait time.
-func BenchmarkEngineRunPipelinedOnePort(b *testing.B) { runEngineBench(b, true, true) }
+func BenchmarkEngineRunPipelinedOnePort(b *testing.B) { runEngineBench(b, true) }
 
 // BenchmarkDistributedLoopback drives 3 loopback-TCP mmworker serve loops
-// with the pipelined executor — real sockets, real codec traffic, the
+// through Master.Execute — real sockets, real codec traffic, the
 // steady-state zero-alloc block path end to end.
 func BenchmarkDistributedLoopback(b *testing.B) {
 	pl := platform.Homogeneous(3, 1, 1, 60)
@@ -333,7 +324,7 @@ func BenchmarkDistributedLoopback(b *testing.B) {
 		b.StopTimer()
 		c := c0.Clone()
 		b.StartTimer()
-		if err := m.RunPipelined(inst.T, plan, a, bm, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, plan, a, bm, c, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -544,19 +535,19 @@ func BenchmarkSessionOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		plan := res.Plan()
-		cfg := engine.Config{Workers: pl.P(), T: inst.T, Pipelined: true}
+		cfg := engine.Config{Workers: pl.P(), T: inst.T}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			c := c0.Clone()
 			b.StartTimer()
-			if err := engine.Run(cfg, plan, a, bm, c); err != nil {
+			if err := engine.Run(context.Background(), cfg, plan, a, bm, c, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("direct_sched", func(b *testing.B) {
-		cfg := engine.Config{Workers: pl.P(), T: inst.T, Pipelined: true}
+		cfg := engine.Config{Workers: pl.P(), T: inst.T}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -566,7 +557,7 @@ func BenchmarkSessionOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := engine.Run(cfg, res.Plan(), a, bm, c); err != nil {
+			if err := engine.Run(context.Background(), cfg, res.Plan(), a, bm, c, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -681,7 +672,7 @@ func ablationRun(multiPort bool) (float64, error) {
 // flappyBackend is an in-memory engine.Backend whose flaky worker dies
 // after a fixed number of operations every time it is (re)joined — the
 // "machine that keeps dropping off the network and coming back" of the
-// adaptive-rebalance benchmark. Thread-safe: the elastic executor drives
+// adaptive-rebalance benchmark. Thread-safe: the executor drives
 // distinct workers from concurrent dispatch goroutines.
 type flappyBackend struct {
 	mu      sync.Mutex
@@ -759,7 +750,7 @@ func (f *flappyBackend) SendAB(w int, ch matrix.Chunk, k0, k1 int, a, bm []*matr
 	f.mu.Lock()
 	h := f.held[w]
 	f.mu.Unlock()
-	return engine.ApplyInstallment(ch, h.blocks, a, bm, k1-k0)
+	return engine.ApplyInstallmentParallel(ch, h.blocks, a, bm, k1-k0, 1)
 }
 
 func (f *flappyBackend) RecvC(w int, ch matrix.Chunk) ([]*matrix.Block, error) {
@@ -773,8 +764,8 @@ func (f *flappyBackend) RecvC(w int, ch matrix.Chunk) ([]*matrix.Block, error) {
 	return h.blocks, nil
 }
 
-// BenchmarkAdaptiveRebalance measures steady-state job throughput of the
-// elastic executor while one worker flaps: every run, the flaky worker dies
+// BenchmarkAdaptiveRebalance measures steady-state job throughput of a
+// tracked executor run while one worker flaps: every run, the flaky worker dies
 // mid-job (its chunks re-planned onto the survivors by live estimates) and
 // rejoins as a fresh index (triggering a join re-plan onto the grown
 // fleet). Custom metrics report the re-plans each job absorbs; ns/op is the
@@ -815,7 +806,7 @@ func BenchmarkAdaptiveRebalance(b *testing.B) {
 		be := newFlappyBackend(pl.P(), 6)
 		tr := adapt.NewTracker(pl.Workers, time.Microsecond, 0)
 		join := make(chan int, 8)
-		el := &engine.Elastic{
+		el := &engine.Options{
 			Tracker:        tr,
 			Join:           join,
 			DriftThreshold: -1, // membership churn is the signal under test
@@ -831,7 +822,7 @@ func BenchmarkAdaptiveRebalance(b *testing.B) {
 			},
 		}
 		b.StartTimer()
-		if err := engine.ExecuteElasticContext(context.Background(), inst.T, plan, a, bm, c, be, el); err != nil {
+		if err := engine.Execute(context.Background(), inst.T, plan, a, bm, c, be, el); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -903,9 +894,9 @@ func BenchmarkStragglerTail(b *testing.B) {
 			for ji, j := range jobs {
 				red.Units = append(red.Units, engine.RedundantUnit{Worker: (j.Worker + 1) % pl.P(), Job: ji})
 			}
-			err = m.RunRedundantContext(context.Background(), inst.T, plan, a, bm, c, red)
+			err = m.Execute(context.Background(), inst.T, plan, a, bm, c, &engine.Options{Redundancy: red})
 		} else {
-			err = m.RunPipelined(inst.T, plan, a, bm, c)
+			err = m.Execute(context.Background(), inst.T, plan, a, bm, c, nil)
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -5,12 +5,12 @@
 // algorithm, executes the plan for real, and the result is verified against
 // a reference multiplication.
 //
-// By default the plan runs on the pipelined executor: one dispatch goroutine
-// per worker, so transfers to distinct workers and every worker's compute
-// overlap. -pipelined=false falls back to the strictly sequential op loop;
-// the computed C is bitwise-identical either way. With -pace (in-process
-// only) transfers cost simulated wall-clock time, and -oneport keeps those
-// paced transfer slots serialized as the paper's one-port model demands.
+// The plan runs on the engine's one executor: one dispatch goroutine per
+// worker, so transfers to distinct workers and every worker's compute
+// overlap, and the computed C is bitwise-identical however they interleave.
+// With -pace (in-process only) transfers cost simulated wall-clock time, and
+// -oneport keeps those paced transfer slots serialized as the paper's
+// one-port model demands. -redundancy adds the k-of-n gate.
 //
 // SIGINT cancels gracefully: the in-flight job is aborted (mid-transfer
 // included), workers are drained, and mmrun exits nonzero.
@@ -53,7 +53,6 @@ type options struct {
 	seed        int64
 	pace        time.Duration
 	distributed string
-	pipelined   bool
 	onePort     bool
 	procs       int
 	redundancy  string
@@ -70,8 +69,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "random seed for matrix data")
 	flag.DurationVar(&o.pace, "pace", 0, "per (block × unit link cost) transfer pacing, e.g. 50us")
 	flag.StringVar(&o.distributed, "distributed", "", "comma-separated mmworker addresses; drive remote workers over TCP instead of in-process goroutines")
-	flag.BoolVar(&o.pipelined, "pipelined", true, "use the concurrent per-worker executor (false: strictly sequential op loop)")
-	flag.BoolVar(&o.onePort, "oneport", false, "serialize transfer slots across workers (one-port master); meaningful with -pace or -distributed under -pipelined")
+	flag.BoolVar(&o.onePort, "oneport", false, "serialize transfer slots across workers (one-port master); meaningful with -pace or -distributed")
 	flag.IntVar(&o.procs, "procs", 0, "goroutines per in-process worker's block updates (≤1: sequential); remote workers set their own via mmworker -procs")
 	flag.StringVar(&o.redundancy, "redundancy", "", "proactive straggler mitigation: off, replicated[:r] or coded[:r] — r redundant units per wave raced through the k-of-n gate")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "opt-in HTTP debug address serving /metrics, /healthz and /debug/pprof (empty: off)")
@@ -114,7 +112,6 @@ func run(ctx context.Context, o options) error {
 	}
 	opts := []matmul.Option{
 		matmul.WithAlgorithm(o.alg),
-		matmul.WithPipelined(o.pipelined),
 		matmul.WithOnePort(o.onePort),
 	}
 	if o.redundancy != "" {
@@ -174,12 +171,8 @@ func run(ctx context.Context, o options) error {
 		return err
 	}
 
-	executor := "sequential"
-	if o.pipelined {
-		executor = "pipelined"
-	}
-	fmt.Printf("mmrun %s: running %s via matmul.Session (%s, %s executor, kernel %s)\n",
-		obs.Version(), o.alg, runtime, executor, kernel.Name())
+	fmt.Printf("mmrun %s: running %s via matmul.Session (%s, kernel %s)\n",
+		obs.Version(), o.alg, runtime, kernel.Name())
 	start := time.Now()
 	job, err := sess.Submit(ctx, a, b, c)
 	if err != nil {
@@ -191,7 +184,7 @@ func run(ctx context.Context, o options) error {
 	elapsed := time.Since(start)
 
 	diff := c.MaxAbsDiff(want)
-	fmt.Printf("executed for real (%s) in %v; max |C - reference| = %.3g\n", executor, elapsed, diff)
+	fmt.Printf("executed for real in %v; max |C - reference| = %.3g\n", elapsed, diff)
 	if diff > 1e-9 {
 		return fmt.Errorf("verification FAILED (deviation %g)", diff)
 	}

@@ -12,10 +12,10 @@ import (
 )
 
 func TestRunVerifiesSmallProduct(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		o := options{alg: "het", inst: sched.Instance{R: 4, S: 10, T: 3}, q: 4, seed: 1, pipelined: pipelined}
+	for _, red := range []string{"", "replicated:1"} {
+		o := options{alg: "het", inst: sched.Instance{R: 4, S: 10, T: 3}, q: 4, seed: 1, redundancy: red}
 		if err := run(context.Background(), o); err != nil {
-			t.Fatalf("pipelined=%v: %v", pipelined, err)
+			t.Fatalf("redundancy=%q: %v", red, err)
 		}
 	}
 }
@@ -23,7 +23,7 @@ func TestRunVerifiesSmallProduct(t *testing.T) {
 func TestRunPipelinedWithProcsAndOnePortPace(t *testing.T) {
 	o := options{
 		alg: "bmm", inst: sched.Instance{R: 4, S: 10, T: 3}, q: 4, seed: 2,
-		pace: 2 * time.Microsecond, pipelined: true, onePort: true, procs: 2,
+		pace: 2 * time.Microsecond, onePort: true, procs: 2,
 	}
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
@@ -38,8 +38,8 @@ func TestRunUnknownAlgorithm(t *testing.T) {
 
 // TestRunDistributedAgainstLoopbackWorkers is the acceptance check for
 // -distributed: two loopback workers, the full mmrun path (schedule, drive
-// over TCP with both executors, verify C within 1e-9 of the serial product —
-// run fails itself if the deviation exceeds that).
+// over TCP with and without the k-of-n gate, verify C within 1e-9 of the
+// serial product — run fails itself if the deviation exceeds that).
 func TestRunDistributedAgainstLoopbackWorkers(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
@@ -51,13 +51,13 @@ func TestRunDistributedAgainstLoopbackWorkers(t *testing.T) {
 		addrs = append(addrs, ln.Addr().String())
 		go mmnet.Serve(ln, addrs[i], mmnet.WorkerOptions{Heartbeat: 50 * time.Millisecond})
 	}
-	for _, pipelined := range []bool{false, true} {
+	for _, red := range []string{"", "replicated:1"} {
 		o := options{
 			alg: "het", inst: sched.Instance{R: 4, S: 10, T: 3}, q: 4, seed: 1,
-			distributed: strings.Join(addrs, ","), pipelined: pipelined,
+			distributed: strings.Join(addrs, ","), redundancy: red,
 		}
 		if err := run(context.Background(), o); err != nil {
-			t.Fatalf("pipelined=%v: %v", pipelined, err)
+			t.Fatalf("redundancy=%q: %v", red, err)
 		}
 	}
 }
@@ -81,7 +81,7 @@ func TestRunDistributedRejectsProcs(t *testing.T) {
 func TestRunCancelledContext(t *testing.T) {
 	o := options{
 		alg: "het", inst: sched.Instance{R: 8, S: 16, T: 6}, q: 8, seed: 3,
-		pace: time.Millisecond, pipelined: true,
+		pace: time.Millisecond,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

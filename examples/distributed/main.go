@@ -1,12 +1,11 @@
 // Distributed run on a single machine: two worker endpoints on loopback TCP,
 // a master that schedules the product with the heterogeneous algorithm and
-// replays the plan over the wire, and a five-way verification — the
-// distributed C of BOTH low-level executors (the sequential op loop and the
-// pipelined per-worker dispatcher) must equal the in-process engine's C
-// bitwise (same per-chunk operation order, same kernel) and match the serial
-// product, and the public facade (a matmul.Session on the Distributed
-// runtime, the way library callers drive these workers) must reproduce the
-// same bits over the same daemons.
+// replays the plan over the wire, and a four-way verification — the
+// distributed C must equal the in-process engine's C bitwise (same per-chunk
+// operation order, same kernel) and match the serial product, and the public
+// facade (a matmul.Session on the Distributed runtime, the way library
+// callers drive these workers) must reproduce the same bits over the same
+// daemons.
 //
 //	go run ./examples/distributed
 //
@@ -66,7 +65,6 @@ func main() {
 	b.FillRandom(rng)
 	cNet.FillRandom(rng)
 	cEng := cNet.Clone()
-	cPipe := cNet.Clone()
 	cLib := cNet.Clone()
 	want := cNet.Clone()
 	if err := matrix.Multiply(want, a, b); err != nil {
@@ -74,27 +72,21 @@ func main() {
 	}
 
 	// In-process execution of the same plan, for the bitwise comparison.
-	if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, res.Plan(), a, b, cEng); err != nil {
+	if err := engine.Run(context.Background(), engine.Config{Workers: pl.P(), T: inst.T}, res.Plan(), a, b, cEng, nil); err != nil {
 		log.Fatal(err)
 	}
 
-	// Distributed execution over TCP: once with the sequential executor,
-	// once with the pipelined per-worker dispatcher, on the same sessions.
+	// Distributed execution of the same plan over TCP.
 	m, err := mmnet.Dial(addrs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("master connected to %v\n", m.WorkerNames())
 	start := time.Now()
-	if err := m.Run(inst.T, res.Plan(), a, b, cNet); err != nil {
+	if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, cNet, nil); err != nil {
 		log.Fatal(err)
 	}
-	seqElapsed := time.Since(start)
-	start = time.Now()
-	if err := m.RunPipelined(inst.T, res.Plan(), a, b, cPipe); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("distributed runs finished: sequential %v, pipelined %v\n", seqElapsed, time.Since(start))
+	fmt.Printf("distributed run finished in %v\n", time.Since(start))
 	// Release (not Shutdown): the worker daemons keep serving, so the facade
 	// session below re-dials the very same endpoints.
 	if err := m.Release(); err != nil {
@@ -127,16 +119,13 @@ func main() {
 	if d := cNet.MaxAbsDiff(cEng); d != 0 {
 		log.Fatalf("distributed C deviates from in-process C by %g (want bitwise equality)", d)
 	}
-	if d := cPipe.MaxAbsDiff(cEng); d != 0 {
-		log.Fatalf("pipelined distributed C deviates from in-process C by %g (want bitwise equality)", d)
-	}
 	if d := cLib.MaxAbsDiff(cEng); d != 0 {
 		log.Fatalf("facade C deviates from in-process C by %g (want bitwise equality)", d)
 	}
 	if d := cNet.MaxAbsDiff(want); d > 1e-9 {
 		log.Fatalf("distributed C deviates from serial product by %g", d)
 	}
-	fmt.Println("verification OK: sequential ≡ pipelined ≡ facade ≡ in-process C, C = C₀ + A·B")
+	fmt.Println("verification OK: distributed ≡ facade ≡ in-process C, C = C₀ + A·B")
 }
 
 func countChunks(res *sched.Result) int {

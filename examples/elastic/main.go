@@ -4,8 +4,8 @@
 // the re-planned chunks write the same disjoint C regions through the same
 // ascending-k kernel order, whoever ends up computing them. Along the way
 // the session's live throughput estimates (EWMA over every observed
-// transfer and compute) are printed: the numbers the elastic executor
-// re-plans with, and the numbers an adaptive mmserve daemon selects
+// transfer and compute) are printed: the numbers the executor re-plans
+// with, and the numbers an adaptive mmserve daemon selects
 // resources with.
 //
 //	go run ./examples/elastic
@@ -72,7 +72,7 @@ func main() {
 		return c
 	}()
 
-	// The elastic session: two workers, adaptive executor. Submit, then join
+	// The elastic session: two workers, adaptive. Submit, then join
 	// the third worker while the job runs — the crash of worker-2 and the
 	// join of worker-3 both land mid-flight.
 	sess, err := matmul.Open(ctx,

@@ -266,7 +266,7 @@ func engineReference(inst sched.Instance, q int, seed int64) *matrix.BlockMatrix
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, res.Plan(), a, b, c); err != nil {
+	if err := engine.Run(context.Background(), engine.Config{Workers: pl.P(), T: inst.T}, res.Plan(), a, b, c, nil); err != nil {
 		log.Fatal(err)
 	}
 	return c

@@ -80,9 +80,6 @@ type Options struct {
 	// GroupSize caps parity group width (k). Small groups keep the
 	// generalized-Vandermonde decode well-conditioned; ≤ 0 defaults to 4.
 	GroupSize int
-	// SpeculationLimit is forwarded to the gate (see
-	// engine.Redundancy.SpeculationLimit). 0 keeps the gate default.
-	SpeculationLimit int
 }
 
 func (o *Options) r() int {
@@ -122,7 +119,7 @@ func jobCost(est adapt.Estimator, w int, j sim.PlanJob) float64 {
 // plan time, from the initial C (group members may commit, mutating C, before
 // a parity unit even dispatches). workers is the backend's worker count.
 // ModeOff (or an empty plan) returns nil: callers pass the nil straight to
-// the engine, which degenerates to the plain pipelined executor.
+// the engine as Options.Redundancy, which leaves the gate off.
 func Plan(t int, plan []sim.PlanOp, a, c *matrix.BlockMatrix, workers int, opts Options) (*engine.Redundancy, error) {
 	if opts.Mode == ModeOff || opts.Mode == "" {
 		return nil, nil
@@ -137,7 +134,7 @@ func Plan(t int, plan []sim.PlanOp, a, c *matrix.BlockMatrix, workers int, opts 
 	if len(jobs) == 0 || workers < 2 {
 		// No jobs to protect, or nowhere to put a second copy: run with the
 		// gate (for its arbitration and stats) but no planned units.
-		return &engine.Redundancy{Mode: string(opts.Mode), SpeculationLimit: opts.SpeculationLimit}, nil
+		return &engine.Redundancy{Mode: string(opts.Mode)}, nil
 	}
 
 	// Plan-time load model: each worker starts with the cost of its own
@@ -149,7 +146,7 @@ func Plan(t int, plan []sim.PlanOp, a, c *matrix.BlockMatrix, workers int, opts 
 		}
 	}
 
-	red := &engine.Redundancy{Mode: string(opts.Mode), SpeculationLimit: opts.SpeculationLimit}
+	red := &engine.Redundancy{Mode: string(opts.Mode)}
 	switch opts.Mode {
 	case ModeReplicated:
 		red.Units = planReplicas(jobs, workers, load, opts)

@@ -260,89 +260,116 @@ func TestPlanPlacement(t *testing.T) {
 }
 
 // csBackend is the coded tests' in-process compute backend: real installment
-// arithmetic, plus a stall predicate that freezes matching units at RecvC
-// until CancelUnit releases them (see the engine package's stallBackend).
+// arithmetic, plus a stall predicate, asked once per unit at SendC, that
+// freezes matching units at RecvC until CancelUnit releases them — and with
+// sendWaits at their first SendAB too (see the engine package's
+// stallBackend). Cancels are sticky, as engine.UnitCanceler requires: a
+// cancel that arrives while the unit is still sending is honoured at RecvC.
 type csBackend struct {
-	nw    int
-	stall func(w int, ch matrix.Chunk) bool
+	nw        int
+	stall     func(w int, ch matrix.Chunk) bool
+	sendWaits bool
 
-	mu      sync.Mutex
-	held    []map[matrix.Chunk][]*matrix.Block
-	cancels []map[matrix.Chunk]chan struct{}
+	mu    sync.Mutex
+	units []map[matrix.Chunk]*csUnit
+}
+
+type csUnit struct {
+	blocks  []*matrix.Block
+	stalled bool
+	cancel  chan struct{} // closed by CancelUnit
 }
 
 func newCSBackend(nw int, stall func(w int, ch matrix.Chunk) bool) *csBackend {
 	be := &csBackend{nw: nw, stall: stall}
-	be.held = make([]map[matrix.Chunk][]*matrix.Block, nw)
-	be.cancels = make([]map[matrix.Chunk]chan struct{}, nw)
-	for w := 0; w < nw; w++ {
-		be.held[w] = make(map[matrix.Chunk][]*matrix.Block)
-		be.cancels[w] = make(map[matrix.Chunk]chan struct{})
+	be.units = make([]map[matrix.Chunk]*csUnit, nw)
+	for w := range be.units {
+		be.units[w] = make(map[matrix.Chunk]*csUnit)
 	}
 	return be
 }
 
 func (be *csBackend) Workers() int { return be.nw }
 
+func (be *csBackend) unit(w int, ch matrix.Chunk) (*csUnit, error) {
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	u, ok := be.units[w][ch]
+	if !ok {
+		return nil, fmt.Errorf("worker %d does not hold %v", w, ch)
+	}
+	return u, nil
+}
+
+// waitCancel parks a stalled unit until its cancel, or fails after 30s.
+func (u *csUnit) waitCancel(w int, ch matrix.Chunk) error {
+	select {
+	case <-u.cancel:
+		return nil
+	case <-time.After(30 * time.Second):
+		return fmt.Errorf("worker %d stalled on %v and was never canceled", w, ch)
+	}
+}
+
 func (be *csBackend) SendC(w int, ch matrix.Chunk, blocks []*matrix.Block) error {
 	be.mu.Lock()
 	defer be.mu.Unlock()
-	if _, dup := be.held[w][ch]; dup {
+	if _, dup := be.units[w][ch]; dup {
 		return fmt.Errorf("worker %d already holds chunk %v", w, ch)
 	}
-	be.held[w][ch] = blocks
+	be.units[w][ch] = &csUnit{blocks: blocks, stalled: be.stall != nil && be.stall(w, ch), cancel: make(chan struct{})}
 	return nil
 }
 
 func (be *csBackend) SendAB(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
-	be.mu.Lock()
-	blocks, ok := be.held[w][ch]
-	be.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("worker %d got inputs for %v it does not hold", w, ch)
+	u, err := be.unit(w, ch)
+	if err != nil {
+		return err
 	}
-	return engine.ApplyInstallment(ch, blocks, a, b, k1-k0)
+	if u.stalled && be.sendWaits && k0 == 0 {
+		if err := u.waitCancel(w, ch); err != nil {
+			return err
+		}
+	}
+	return engine.ApplyInstallmentParallel(ch, u.blocks, a, b, k1-k0, 1)
 }
 
 func (be *csBackend) RecvC(w int, ch matrix.Chunk) ([]*matrix.Block, error) {
-	be.mu.Lock()
-	blocks, ok := be.held[w][ch]
-	if !ok {
-		be.mu.Unlock()
-		return nil, fmt.Errorf("worker %d asked to flush %v it does not hold", w, ch)
+	u, err := be.unit(w, ch)
+	if err != nil {
+		return nil, err
 	}
-	if be.stall != nil && be.stall(w, ch) {
-		cancel := make(chan struct{})
-		be.cancels[w][ch] = cancel
-		be.mu.Unlock()
-		select {
-		case <-cancel:
-		case <-time.After(30 * time.Second):
-			return nil, fmt.Errorf("worker %d stalled on %v and was never canceled", w, ch)
-		}
-		be.mu.Lock()
-		delete(be.cancels[w], ch)
-		delete(be.held[w], ch)
-		be.mu.Unlock()
+	if u.stalled {
+		err = u.waitCancel(w, ch)
+	}
+	be.mu.Lock()
+	delete(be.units[w], ch)
+	be.mu.Unlock()
+	switch {
+	case err != nil:
+		return nil, err
+	case u.stalled:
 		return nil, fmt.Errorf("stalled unit dropped: %w", engine.ErrUnitCanceled)
 	}
-	delete(be.held[w], ch)
-	be.mu.Unlock()
-	return blocks, nil
+	return u.blocks, nil
 }
 
 func (be *csBackend) CancelUnit(w int, ch matrix.Chunk) {
 	be.mu.Lock()
 	defer be.mu.Unlock()
-	if cancel, ok := be.cancels[w][ch]; ok {
-		close(cancel)
+	if u, ok := be.units[w][ch]; ok {
+		select {
+		case <-u.cancel:
+		default:
+			close(u.cancel)
+		}
 	}
 }
 
 // TestPlannedRedundancyHealthyBitwise runs both modes through the engine on
-// a healthy fleet and demands C bitwise-identical to the plain pipelined
-// executor: replicas replay identical systematic work, and parity results
-// are discarded unused when every member returns.
+// a healthy fleet and demands C bitwise-identical to the serial reference:
+// replicas replay identical systematic work, and parity results are
+// discarded unused when every member returns.
 func TestPlannedRedundancyHealthyBitwise(t *testing.T) {
 	inst := sched.Instance{R: 8, S: 12, T: 5}
 	res, err := sched.Het{}.Schedule(testbed(), inst)
@@ -352,31 +379,27 @@ func TestPlannedRedundancyHealthyBitwise(t *testing.T) {
 	plan := res.Plan()
 	q := 3
 	for _, mode := range []Mode{ModeReplicated, ModeCoded} {
-		a, b, c, _ := buildMatrices(t, inst, q, 7)
-		_, _, base, _ := buildMatrices(t, inst, q, 7)
-		cfg := engine.Config{Workers: testbed().P(), T: inst.T, Pipelined: true}
-		if err := engine.RunContext(context.Background(), cfg, plan, a, b, base); err != nil {
-			t.Fatal(err)
-		}
+		a, b, c, base := buildMatrices(t, inst, q, 7)
+		cfg := engine.Config{Workers: testbed().P(), T: inst.T}
 		red, err := Plan(inst.T, plan, a, c, testbed().P(), Options{Mode: mode, R: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if err := engine.RunRedundantContext(context.Background(), cfg, plan, a, b, c, red); err != nil {
+		if err := engine.Run(context.Background(), cfg, plan, a, b, c, &engine.Options{Redundancy: red}); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		d := c.MaxAbsDiff(base)
 		if st := red.Stats(); st.Decodes == 0 {
 			// No decode fired: every committed result was systematic and the
-			// output must be bitwise-identical to the plain executor's.
+			// output must be bitwise-identical to the serial reference.
 			if d != 0 {
-				t.Fatalf("%s: C differs from plain run by %g (want bitwise equal, stats %+v)", mode, d, st)
+				t.Fatalf("%s: C differs from the serial reference by %g (want bitwise equal, stats %+v)", mode, d, st)
 			}
 		} else if d > 1e-9 {
 			// An end-of-run race let a parity decode beat a healthy copy (the
 			// copy cap was saturated, so the gate was within its rights);
 			// reconstructed values are exact only to solver tolerance.
-			t.Fatalf("%s: C differs from plain run by %g after %d decodes", mode, d, st.Decodes)
+			t.Fatalf("%s: C differs from the serial reference by %g after %d decodes", mode, d, st.Decodes)
 		}
 	}
 }
@@ -387,7 +410,9 @@ func TestPlannedRedundancyHealthyBitwise(t *testing.T) {
 // the parity unit's borrowed ones), leaving the pre-encoded parity unit as
 // the only way to complete the job. The gate must decode the missing member,
 // wire-cancel the stalled copies, and produce a C that matches the serial
-// oracle within solver tolerance.
+// oracle within solver tolerance. In the sendWaits case every stalled copy
+// is still in SendAB when its cancel arrives, which only a sticky cancel
+// absorbs in time.
 func TestCodedDecodeRecoversStalledJob(t *testing.T) {
 	inst := sched.Instance{R: 8, S: 12, T: 5}
 	res, err := sched.Het{}.Schedule(testbed(), inst)
@@ -399,47 +424,51 @@ func TestCodedDecodeRecoversStalledJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, c, want := buildMatrices(t, inst, 3, 8)
-	red, err := Plan(inst.T, plan, a, c, testbed().P(), Options{Mode: ModeCoded, R: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stall every copy of one group member's chunk. The victim must not be
-	// its group's first member (the parity unit borrows that member's chunk
-	// coordinates, so stalling it would stall the parity too), and its primary
-	// must not live on the parity's host worker (the stalled primary would
-	// wedge the host's queue before the parity ever dispatched).
-	victim := matrix.Chunk{}
-	for _, u := range red.Units {
-		for _, ji := range u.Members[1:] {
-			if jobs[ji].Worker != u.Worker {
-				victim = jobs[ji].Chunk
+	for _, sendWaits := range []bool{false, true} {
+		a, b, c, want := buildMatrices(t, inst, 3, 8)
+		red, err := Plan(inst.T, plan, a, c, testbed().P(), Options{Mode: ModeCoded, R: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Stall every copy of one group member's chunk. The victim must not be
+		// its group's first member (the parity unit borrows that member's chunk
+		// coordinates, so stalling it would stall the parity too), and its
+		// primary must not live on the parity's host worker (the stalled
+		// primary would wedge the host's queue before the parity ever
+		// dispatched).
+		victim := matrix.Chunk{}
+		for _, u := range red.Units {
+			for _, ji := range u.Members[1:] {
+				if jobs[ji].Worker != u.Worker {
+					victim = jobs[ji].Chunk
+					break
+				}
+			}
+			if victim != (matrix.Chunk{}) {
 				break
 			}
 		}
-		if victim != (matrix.Chunk{}) {
-			break
+		if victim == (matrix.Chunk{}) {
+			t.Skip("no stallable multi-member parity group in this plan")
 		}
-	}
-	if victim == (matrix.Chunk{}) {
-		t.Skip("no stallable multi-member parity group in this plan")
-	}
-	be := newCSBackend(testbed().P(), func(w int, ch matrix.Chunk) bool { return ch == victim })
-	start := time.Now()
-	if err := engine.ExecuteRedundantContext(context.Background(), inst.T, plan, a, b, c, be, red); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("run took %v; the stalled job was waited out instead of decoded around", elapsed)
-	}
-	if d := c.MaxAbsDiff(want); d > 1e-6 {
-		t.Fatalf("decoded C differs from serial oracle by %g", d)
-	}
-	st := red.Stats()
-	if st.Decodes == 0 {
-		t.Errorf("no decode recorded (stats %+v)", st)
-	}
-	if st.Absorbed == 0 {
-		t.Errorf("stalled copies never recorded as absorbed (stats %+v)", st)
+		be := newCSBackend(testbed().P(), func(w int, ch matrix.Chunk) bool { return ch == victim })
+		be.sendWaits = sendWaits
+		start := time.Now()
+		if err := engine.Execute(context.Background(), inst.T, plan, a, b, c, be, &engine.Options{Redundancy: red}); err != nil {
+			t.Fatalf("sendWaits=%v: %v", sendWaits, err)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Fatalf("sendWaits=%v: run took %v; the stalled job was waited out instead of decoded around", sendWaits, elapsed)
+		}
+		if d := c.MaxAbsDiff(want); d > 1e-6 {
+			t.Fatalf("sendWaits=%v: decoded C differs from serial oracle by %g", sendWaits, d)
+		}
+		st := red.Stats()
+		if st.Decodes == 0 {
+			t.Errorf("sendWaits=%v: no decode recorded (stats %+v)", sendWaits, st)
+		}
+		if st.Absorbed == 0 {
+			t.Errorf("sendWaits=%v: stalled copies never recorded as absorbed (stats %+v)", sendWaits, st)
+		}
 	}
 }

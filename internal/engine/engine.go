@@ -1,23 +1,27 @@
 // Package engine executes a scheduled plan for real: master and workers
 // exchange actual matrix blocks, workers perform genuine floating-point block
-// updates, and the master replays the exact operation order a scheduler
-// produced (the Plan recorded by internal/sim).
+// updates, and the master replays the chunks, installments and results a
+// scheduler produced (the Plan recorded by internal/sim).
 //
-// The package splits into two layers. The backend-agnostic plan executors —
-// validation, operation ordering, C-accumulation, and failover of dead
-// workers' jobs — are shared by every real runtime: Execute issues ops
-// strictly in plan order from one goroutine, while ExecutePipelined drives
-// each worker from a dedicated dispatch goroutine so transfers to distinct
-// workers and all computes overlap (bitwise-identical C either way). Run
-// wires either executor, chosen by Config.Pipelined, to the in-process
-// backend: workers are goroutines behind channels, and each worker's input
-// channel provides one buffered slot so communication to a worker overlaps
-// that worker's computation, exactly the double-buffering of the μ²+4μ
-// layout. Optionally each transfer is paced at the platform's c_i per block
-// so heterogeneous links are felt in wall-clock time; under the pipelined
-// executor, Config.OnePort serializes those paced slots through a
-// TransferGate, recovering the paper's one-port master. internal/net wires
-// the same executors to remote workers over TCP.
+// The package splits into two layers. Execute is the one backend-agnostic
+// plan executor, shared by every real runtime. It validates the plan, seeds
+// one queue per worker from it, and drives each worker from its own dispatch
+// goroutine through the paper's master rule: send the next chunk, its
+// installments, then take the result back. Transfers to distinct workers and
+// all computes overlap, and C is bitwise-identical under every interleaving.
+// Workers that die have their jobs re-queued round-robin on the survivors.
+// Options layers the rest on the same loop: a Tracker adds live estimates
+// and join/depart/drift re-planning, a Redundancy adds the k-of-n gate
+// (replicas, parity units, speculation, wire-cancel, decode).
+//
+// Run wires Execute to the in-process backend: workers are goroutines behind
+// channels, and each worker's input channel provides one buffered slot so
+// communication to a worker overlaps that worker's computation, exactly the
+// double-buffering of the μ²+4μ layout. Optionally each transfer is paced at
+// the platform's c_i per block so heterogeneous links are felt in wall-clock
+// time, and Config.OnePort serializes those paced slots through one port
+// lock, recovering the paper's one-port master. internal/net wires
+// the same executor to remote workers over TCP.
 //
 // Its purpose is verification: after Run, C must equal the reference product,
 // proving the scheduler moved every block where it claimed and no update was
@@ -33,6 +37,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Config controls a real execution.
@@ -44,14 +49,10 @@ type Config struct {
 	// TimePerUnit zero for full-speed verification runs.
 	Platform    *platform.Platform
 	TimePerUnit time.Duration
-	// Pipelined selects the concurrent executor: each worker's jobs are
-	// dispatched by a dedicated goroutine, so transfers to distinct workers
-	// and all computes overlap. C is bitwise-identical either way.
-	Pipelined bool
-	// OnePort, with Pipelined and pacing, serializes the paced transfer
-	// slots across workers through a TransferGate, restoring the paper's
-	// one-port master: overlap of transfer and compute, but never of two
-	// transfers. Without pacing the gate is idle and costs nothing.
+	// OnePort, with pacing, serializes the paced transfer slots across
+	// workers through one port lock, restoring the paper's one-port master:
+	// overlap of transfer and compute, but never of two transfers. Without
+	// pacing the port is idle and costs nothing.
 	OnePort bool
 	// Procs bounds the goroutines each in-process worker spends on one
 	// installment (its C blocks are split across them; per-block arithmetic
@@ -60,73 +61,45 @@ type Config struct {
 	Procs int
 }
 
-// message types exchanged between master and workers.
-type chunkMsg struct {
-	chunk  matrix.Chunk
-	blocks []*matrix.Block // row-major H×W
-}
-
-type installMsg struct {
-	k0, k1 int
-	a      []*matrix.Block // H×(k1-k0), row-major
-	b      []*matrix.Block // (k1-k0)×W, row-major
-}
-
+// workerMsg is one master→worker message: a chunk (blocks, row-major H×W),
+// an installment (a H×d and b d×W panels, row-major), or a flush asking for
+// the current chunk back. Workers answer flushes with a chunk message.
 type workerMsg struct {
-	chunk   *chunkMsg
-	install *installMsg
-	flush   bool // return the current chunk
-}
-
-// TransferGate serializes the transfer slots of a one-port master: pipelined
-// dispatch goroutines hold it only while a (paced) transfer occupies the
-// link, never while waiting on a worker's compute. A nil gate is an
-// unconstrained (multi-port) master.
-type TransferGate struct{ mu sync.Mutex }
-
-// Lock acquires the port; nil-safe.
-func (g *TransferGate) Lock() {
-	if g != nil {
-		g.mu.Lock()
-	}
-}
-
-// Unlock releases the port; nil-safe.
-func (g *TransferGate) Unlock() {
-	if g != nil {
-		g.mu.Unlock()
-	}
+	kind   trace.Kind
+	chunk  matrix.Chunk
+	blocks []*matrix.Block
+	a, b   []*matrix.Block
+	d      int
 }
 
 // chanBackend is the in-process Backend: one goroutine per worker, channels
 // as links. Its sends only fail when the run's context is cancelled, so
 // Execute's failover path is inert here.
 type chanBackend struct {
-	cfg  Config
-	ctx  context.Context // the run's context; aborts paced transfers and waits
-	gate *TransferGate   // non-nil: serialize paced transfer slots (one-port)
+	cfg Config
+	ctx context.Context // the run's context; aborts paced transfers and waits
+	// port is the one-port master's single port: with Config.OnePort,
+	// dispatch goroutines hold it only while a paced transfer occupies the
+	// link, never while waiting on a worker's compute.
+	port sync.Mutex
 	in   []chan workerMsg
-	out  []chan chunkMsg
+	out  []chan workerMsg
 }
 
 func (cb *chanBackend) Workers() int { return len(cb.in) }
 
-// CopiesBlocks implements CopyingBackend: it reports false because the
-// channel transport hands the executor's block pointers straight to the
-// worker goroutine, which holds them across the whole job — staging blocks
-// must not be recycled behind its back.
-func (cb *chanBackend) CopiesBlocks() bool { return false }
-
-// pace charges one transfer slot: it occupies the master's port (the gate,
-// when one-port) for the blocks' modeled link time. A cancelled run context
+// pace charges one transfer slot: it occupies the master's port (when
+// one-port) for the blocks' modeled link time. A cancelled run context
 // aborts the slot mid-sleep, so cancellation latency is bounded by one
 // select, not by the remaining modeled transfer time.
 func (cb *chanBackend) pace(w, blocks int) error {
 	if cb.cfg.Platform == nil || cb.cfg.TimePerUnit <= 0 {
 		return cb.ctx.Err()
 	}
-	cb.gate.Lock()
-	defer cb.gate.Unlock()
+	if cb.cfg.OnePort {
+		cb.port.Lock()
+		defer cb.port.Unlock()
+	}
 	d := time.Duration(float64(blocks) * cb.cfg.Platform.Workers[w].C * float64(cb.cfg.TimePerUnit))
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -154,21 +127,21 @@ func (cb *chanBackend) SendC(w int, ch matrix.Chunk, blocks []*matrix.Block) err
 	if err := cb.pace(w, ch.Blocks()); err != nil {
 		return err
 	}
-	return cb.deliver(w, workerMsg{chunk: &chunkMsg{chunk: ch, blocks: blocks}})
+	return cb.deliver(w, workerMsg{kind: trace.SendC, chunk: ch, blocks: blocks})
 }
 
 func (cb *chanBackend) SendAB(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
 	if err := cb.pace(w, (k1-k0)*(ch.H+ch.W)); err != nil {
 		return err
 	}
-	return cb.deliver(w, workerMsg{install: &installMsg{k0: k0, k1: k1, a: a, b: b}})
+	return cb.deliver(w, workerMsg{kind: trace.SendAB, a: a, b: b, d: k1 - k0})
 }
 
 func (cb *chanBackend) RecvC(w int, ch matrix.Chunk) ([]*matrix.Block, error) {
-	if err := cb.deliver(w, workerMsg{flush: true}); err != nil {
+	if err := cb.deliver(w, workerMsg{kind: trace.RecvC}); err != nil {
 		return nil, err
 	}
-	var done chunkMsg
+	var done workerMsg
 	select {
 	case done = <-cb.out[w]:
 	case <-cb.ctx.Done():
@@ -190,55 +163,16 @@ func (cb *chanBackend) RecvC(w int, ch matrix.Chunk) ([]*matrix.Block, error) {
 	return done.blocks, nil
 }
 
-// Run replays plan against real matrices on the in-process backend:
-// C ← C + A·B restricted to the chunks the plan covers (a correct plan
-// covers all of C exactly once). A is r×t, B t×s, C r×s blocks.
-//
-// Run cannot be interrupted; library callers should prefer RunContext (or
-// the matmul facade, which plumbs a context through every runtime).
-func Run(cfg Config, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
-	return RunContext(context.Background(), cfg, plan, a, b, c)
-}
-
-// RunContext is Run under a context: cancelling ctx aborts dispatch at the
-// next operation boundary, interrupts in-flight paced transfers, drains the
-// worker goroutines, and returns an error wrapping ctx's error. A run that
-// is aborted leaves C partially updated; the input matrices are untouched.
-func RunContext(ctx context.Context, cfg Config, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
-	return runOnChanBackend(ctx, cfg, func(cb *chanBackend) error {
-		if cfg.Pipelined {
-			return ExecutePipelinedContext(ctx, cfg.T, plan, a, b, c, cb)
-		}
-		return ExecuteContext(ctx, cfg.T, plan, a, b, c, cb)
-	})
-}
-
-// RunElasticContext is RunContext through the adaptive executor: the same
-// in-process goroutine workers, but dispatch re-plans un-started chunks onto
-// the live throughput estimates (see ExecuteElasticContext). The in-process
-// fleet is fixed for the run — goroutine workers neither crash nor join — so
-// elasticity here means estimate tracking and drift-triggered rebalancing;
-// join and departure handling are exercised by the networked runtimes.
-func RunElasticContext(ctx context.Context, cfg Config, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, el *Elastic) error {
-	return runOnChanBackend(ctx, cfg, func(cb *chanBackend) error {
-		return ExecuteElasticContext(ctx, cfg.T, plan, a, b, c, cb, el)
-	})
-}
-
-// RunRedundantContext is RunContext under the k-of-n completion gate: the
-// plan's jobs plus red's replicas/parity units race, first result per job
-// wins. In-process goroutine workers never straggle, so this mainly exists to
-// keep the redundant path testable against the oracle backend; red == nil
-// degenerates to the pipelined executor.
-func RunRedundantContext(ctx context.Context, cfg Config, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, red *Redundancy) error {
-	return runOnChanBackend(ctx, cfg, func(cb *chanBackend) error {
-		return ExecuteRedundantContext(ctx, cfg.T, plan, a, b, c, cb, red)
-	})
-}
-
-// runOnChanBackend validates cfg, brings up the in-process goroutine
-// workers, runs exec against them, and drains the workers' error reports.
-func runOnChanBackend(ctx context.Context, cfg Config, exec func(*chanBackend) error) error {
+// Run executes plan through Execute on the in-process backend under opts
+// (nil for plain dispatch): C ← C + A·B restricted to the chunks the plan
+// covers (a correct plan covers all of C exactly once). A is r×t, B t×s, C
+// r×s blocks. Cancelling ctx aborts dispatch, interrupts in-flight paced
+// transfers, drains the worker goroutines, and returns an error wrapping
+// ctx's error; an aborted run leaves C partially updated, the inputs
+// untouched. The in-process fleet is fixed for the run — goroutine workers
+// neither crash nor join — so a Tracker here means estimate tracking and
+// drift re-planning only.
+func Run(ctx context.Context, cfg Config, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, opts *Options) error {
 	if cfg.Workers <= 0 {
 		return fmt.Errorf("engine: need a positive worker count")
 	}
@@ -250,10 +184,7 @@ func runOnChanBackend(ctx context.Context, cfg Config, exec func(*chanBackend) e
 		cfg: cfg,
 		ctx: ctx,
 		in:  make([]chan workerMsg, cfg.Workers),
-		out: make([]chan chunkMsg, cfg.Workers),
-	}
-	if cfg.Pipelined && cfg.OnePort {
-		cb.gate = &TransferGate{}
+		out: make([]chan workerMsg, cfg.Workers),
 	}
 	errs := make(chan error, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -263,11 +194,11 @@ func runOnChanBackend(ctx context.Context, cfg Config, exec func(*chanBackend) e
 		// abandoned (context cancelled mid-RecvC) never blocks and still
 		// drains cleanly when its input channel closes.
 		cb.in[w] = make(chan workerMsg, 1)
-		cb.out[w] = make(chan chunkMsg, 1)
+		cb.out[w] = make(chan workerMsg, 1)
 		go worker(cb.in[w], cb.out[w], errs, cfg.Procs)
 	}
 
-	runErr := exec(cb)
+	runErr := Execute(ctx, cfg.T, plan, a, b, c, cb, opts)
 
 	for w := 0; w < cfg.Workers; w++ {
 		close(cb.in[w])
@@ -285,8 +216,8 @@ func runOnChanBackend(ctx context.Context, cfg Config, exec func(*chanBackend) e
 // with the real block kernel. On a protocol violation it keeps answering
 // flushes (with an empty chunk the master will reject) so the master never
 // blocks forever, and reports the first error when the channel closes.
-func worker(in <-chan workerMsg, out chan<- chunkMsg, errs chan<- error, procs int) {
-	var cur *chunkMsg
+func worker(in <-chan workerMsg, out chan<- workerMsg, errs chan<- error, procs int) {
+	var cur workerMsg // the held chunk; cur.blocks == nil when none
 	var firstErr error
 	fail := func(format string, args ...any) {
 		if firstErr == nil {
@@ -294,30 +225,27 @@ func worker(in <-chan workerMsg, out chan<- chunkMsg, errs chan<- error, procs i
 		}
 	}
 	for msg := range in {
-		switch {
-		case msg.chunk != nil:
-			if cur != nil {
+		switch msg.kind {
+		case trace.SendC:
+			if cur.blocks != nil {
 				fail("engine: worker received a chunk while holding one")
 				continue
 			}
-			cur = msg.chunk
-		case msg.install != nil:
-			if cur == nil || firstErr != nil {
+			cur = msg
+		case trace.SendAB:
+			if cur.blocks == nil || firstErr != nil {
 				fail("engine: worker received inputs with no chunk")
 				continue
 			}
-			inst := msg.install
-			if err := ApplyInstallmentParallel(cur.chunk, cur.blocks, inst.a, inst.b, inst.k1-inst.k0, procs); err != nil {
+			if err := ApplyInstallmentParallel(cur.chunk, cur.blocks, msg.a, msg.b, msg.d, procs); err != nil {
 				fail("%v", err)
 			}
-		case msg.flush:
-			if cur == nil {
+		case trace.RecvC:
+			if cur.blocks == nil {
 				fail("engine: flush with no chunk")
-				out <- chunkMsg{}
-				continue
 			}
-			out <- *cur
-			cur = nil
+			out <- cur // an empty answer on a violation; the master rejects it
+			cur = workerMsg{}
 		}
 	}
 	errs <- firstErr

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func runScheduler(t *testing.T, s sched.Scheduler, pl *platform.Platform, inst s
 	if err := matrix.Multiply(want, a, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(Config{Workers: pl.P(), T: inst.T}, plan, a, b, c); err != nil {
+	if err := Run(context.Background(), Config{Workers: pl.P(), T: inst.T}, plan, a, b, c, nil); err != nil {
 		t.Fatalf("%s: engine: %v", s.Name(), err)
 	}
 	return c, want
@@ -54,8 +55,8 @@ func TestEngineComputesCorrectProduct(t *testing.T) {
 	pl := smallPlatform()
 	for _, s := range []sched.Scheduler{sched.ODDOML{}, sched.BMM{}, sched.Het{}, sched.ORROML{}, sched.OMMOML{}, sched.Hom{}, sched.HomI{}} {
 		got, want := runScheduler(t, s, pl, inst, 4)
-		if d := got.MaxAbsDiff(want); d > 1e-9 {
-			t.Errorf("%s: result deviates from reference by %g", s.Name(), d)
+		if !got.Equal(want, 0) {
+			t.Errorf("%s: result deviates from reference by %g (want bitwise equality)", s.Name(), got.MaxAbsDiff(want))
 		}
 	}
 }
@@ -79,7 +80,7 @@ func TestEngineWithPacedLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err = Run(Config{Workers: pl.P(), T: inst.T, Platform: pl, TimePerUnit: 20 * time.Microsecond}, res.Plan(), a, b, c)
+	err = Run(context.Background(), Config{Workers: pl.P(), T: inst.T, Platform: pl, TimePerUnit: 20 * time.Microsecond}, res.Plan(), a, b, c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,25 +97,25 @@ func TestEngineRejectsBadPlans(t *testing.T) {
 	a := matrix.NewBlockMatrix(2, 2, q)
 	b := matrix.NewBlockMatrix(2, 2, q)
 	c := matrix.NewBlockMatrix(2, 2, q)
-	if err := Run(Config{Workers: 0, T: 2}, nil, a, b, c); err == nil {
+	if err := Run(context.Background(), Config{Workers: 0, T: 2}, nil, a, b, c, nil); err == nil {
 		t.Error("zero workers accepted")
 	}
-	if err := Run(Config{Workers: 1, T: 3}, nil, a, b, c); err == nil {
+	if err := Run(context.Background(), Config{Workers: 1, T: 3}, nil, a, b, c, nil); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 	badChunk := []sim.PlanOp{{Worker: 0, Kind: trace.SendC, Chunk: matrix.Chunk{Row0: 0, Col0: 0, H: 5, W: 5}}}
-	if err := Run(Config{Workers: 1, T: 2}, badChunk, a, b, c); err == nil {
+	if err := Run(context.Background(), Config{Workers: 1, T: 2}, badChunk, a, b, c, nil); err == nil {
 		t.Error("out-of-range chunk accepted")
 	}
 	badWorker := []sim.PlanOp{{Worker: 3, Kind: trace.SendC, Chunk: matrix.Chunk{H: 1, W: 1}}}
-	if err := Run(Config{Workers: 1, T: 2}, badWorker, a, b, c); err == nil {
+	if err := Run(context.Background(), Config{Workers: 1, T: 2}, badWorker, a, b, c, nil); err == nil {
 		t.Error("out-of-range worker accepted")
 	}
 	badPanel := []sim.PlanOp{
 		{Worker: 0, Kind: trace.SendC, Chunk: matrix.Chunk{H: 1, W: 1}},
 		{Worker: 0, Kind: trace.SendAB, Chunk: matrix.Chunk{H: 1, W: 1}, K0: 0, K1: 9},
 	}
-	if err := Run(Config{Workers: 1, T: 2}, badPanel, a, b, c); err == nil {
+	if err := Run(context.Background(), Config{Workers: 1, T: 2}, badPanel, a, b, c, nil); err == nil {
 		t.Error("out-of-range panel accepted")
 	}
 }
@@ -131,7 +132,7 @@ func TestEngineHandlesProtocolViolation(t *testing.T) {
 		{Worker: 0, Kind: trace.SendC, Chunk: matrix.Chunk{H: 1, W: 1}},
 		{Worker: 0, Kind: trace.RecvC, Chunk: matrix.Chunk{H: 1, W: 1}},
 	}
-	if err := Run(Config{Workers: 1, T: 2}, plan, a, b, c); err == nil {
+	if err := Run(context.Background(), Config{Workers: 1, T: 2}, plan, a, b, c, nil); err == nil {
 		t.Error("protocol violation not reported")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // the context must return well before the plan could have finished — the
 // paced sleep in flight is interrupted, not waited out.
 func TestRunContextCancelBoundedUnderPacing(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
+	for _, onePort := range []bool{false, true} {
 		inst := sched.Instance{R: 8, S: 16, T: 6}
 		pl := platform.Homogeneous(4, 1, 1, 60)
 		res, err := sched.Het{}.Schedule(pl, inst)
@@ -29,7 +29,7 @@ func TestRunContextCancelBoundedUnderPacing(t *testing.T) {
 		// so an uncancelled run would pace for well over a second.
 		cfg := Config{
 			Workers: pl.P(), T: inst.T, Platform: pl, TimePerUnit: time.Millisecond,
-			Pipelined: pipelined, OnePort: pipelined,
+			OnePort: onePort,
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
@@ -37,24 +37,24 @@ func TestRunContextCancelBoundedUnderPacing(t *testing.T) {
 			cancel()
 		}()
 		start := time.Now()
-		err = RunContext(ctx, cfg, res.Plan(), a, b, c)
+		err = Run(ctx, cfg, res.Plan(), a, b, c, nil)
 		elapsed := time.Since(start)
 		if err == nil {
-			t.Fatalf("pipelined=%v: cancelled run returned nil", pipelined)
+			t.Fatalf("onePort=%v: cancelled run returned nil", onePort)
 		}
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("pipelined=%v: cancelled run returned %v, want context.Canceled in the chain", pipelined, err)
+			t.Fatalf("onePort=%v: cancelled run returned %v, want context.Canceled in the chain", onePort, err)
 		}
 		// Bounded by one in-flight paced slot per dispatch path plus
 		// scheduling noise — far below the seconds a full run paces for.
 		if elapsed > 2*time.Second {
-			t.Fatalf("pipelined=%v: cancelled run took %v, want prompt return", pipelined, elapsed)
+			t.Fatalf("onePort=%v: cancelled run took %v, want prompt return", onePort, elapsed)
 		}
 	}
 }
 
-// TestRunContextBackgroundUnchanged pins the compatibility contract of the
-// shims: Run (background context) still completes and verifies.
+// TestRunContextBackgroundUnchanged: a run under a background context (no
+// deadline, no cancel) completes and verifies.
 func TestRunContextBackgroundUnchanged(t *testing.T) {
 	inst := sched.Instance{R: 4, S: 6, T: 3}
 	pl := smallPlatform()
@@ -63,17 +63,17 @@ func TestRunContextBackgroundUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, c, want := buildMatrices(t, inst, 4, 9)
-	if err := Run(Config{Workers: pl.P(), T: inst.T, Pipelined: true}, res.Plan(), a, b, c); err != nil {
+	if err := Run(context.Background(), Config{Workers: pl.P(), T: inst.T}, res.Plan(), a, b, c, nil); err != nil {
 		t.Fatal(err)
 	}
-	if d := c.MaxAbsDiff(want); d > 1e-9 {
-		t.Fatalf("C deviates from reference by %g", d)
+	if !c.Equal(want, 0) {
+		t.Fatalf("C deviates from reference by %g", c.MaxAbsDiff(want))
 	}
 }
 
 // TestExecuteContextPreCancelled: a context cancelled before the first
-// operation fails both executors immediately with the context error and
-// issues no work.
+// operation fails the run immediately with the context error and issues no
+// work, with or without the k-of-n gate.
 func TestExecuteContextPreCancelled(t *testing.T) {
 	inst := sched.Instance{R: 4, S: 6, T: 3}
 	pl := smallPlatform()
@@ -84,10 +84,10 @@ func TestExecuteContextPreCancelled(t *testing.T) {
 	a, b, c, _ := buildMatrices(t, inst, 4, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, pipelined := range []bool{false, true} {
-		err := RunContext(ctx, Config{Workers: pl.P(), T: inst.T, Pipelined: pipelined}, res.Plan(), a, b, c)
+	for _, opts := range []*Options{nil, {Redundancy: &Redundancy{Mode: "replicated"}}} {
+		err := Run(ctx, Config{Workers: pl.P(), T: inst.T}, res.Plan(), a, b, c, opts)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("pipelined=%v: pre-cancelled run returned %v, want context.Canceled", pipelined, err)
+			t.Fatalf("opts=%+v: pre-cancelled run returned %v, want context.Canceled", opts, err)
 		}
 	}
 }

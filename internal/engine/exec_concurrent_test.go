@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -29,10 +31,10 @@ func buildMatrices(t *testing.T, inst sched.Instance, q int, seed int64) (a, b, 
 }
 
 // TestPipelinedMatchesSequentialBitwise is the core guarantee of the
-// concurrent executor: for every scheduler, the pipelined run's C is
-// bitwise-identical to the sequential executor's (same chunk snapshots, same
-// per-chunk installment order, same kernel), which in turn tracks the serial
-// reference within floating-point reordering tolerance.
+// concurrent executor: for every scheduler, C is bitwise-identical to the
+// serial reference product (same chunk snapshots, same per-chunk
+// installment order, same kernel), however the dispatch goroutines
+// interleave.
 func TestPipelinedMatchesSequentialBitwise(t *testing.T) {
 	inst := sched.Instance{R: 7, S: 11, T: 5}
 	pl := smallPlatform()
@@ -41,31 +43,21 @@ func TestPipelinedMatchesSequentialBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		plan := res.Plan()
-		q := 4
-		a, b, cSeq, want := buildMatrices(t, inst, q, 17)
-		_, _, cPipe, _ := buildMatrices(t, inst, q, 17)
-
-		if err := Run(Config{Workers: pl.P(), T: inst.T}, plan, a, b, cSeq); err != nil {
-			t.Fatalf("%s: sequential: %v", s.Name(), err)
+		a, b, c, want := buildMatrices(t, inst, 4, 17)
+		if err := Run(context.Background(), Config{Workers: pl.P(), T: inst.T}, res.Plan(), a, b, c, nil); err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		if err := Run(Config{Workers: pl.P(), T: inst.T, Pipelined: true}, plan, a, b, cPipe); err != nil {
-			t.Fatalf("%s: pipelined: %v", s.Name(), err)
-		}
-		if d := cPipe.MaxAbsDiff(cSeq); d != 0 {
-			t.Errorf("%s: pipelined C deviates from sequential C by %g (want bitwise equality)", s.Name(), d)
-		}
-		if d := cPipe.MaxAbsDiff(want); d > 1e-9 {
-			t.Errorf("%s: pipelined C deviates from serial reference by %g", s.Name(), d)
+		if !c.Equal(want, 0) {
+			t.Errorf("%s: C deviates from the serial reference by %g (want bitwise equality)", s.Name(), c.MaxAbsDiff(want))
 		}
 	}
 }
 
 // TestPipelinedFailsOverDeadWorker kills each worker in turn at several
-// points and checks the parallel replay waves still complete a correct
-// product. The faulty backend needs no extra locking: the executor
-// serializes all operations on one worker within one goroutine, and wave
-// boundaries give happens-before edges between waves.
+// points of an adaptive run: the dead worker's jobs are re-planned onto the
+// survivors by their live estimates rather than dealt round-robin, and C
+// must still be bitwise-identical. The faulty backend needs no extra
+// locking: each worker's operations come from its own dispatch goroutine.
 func TestPipelinedFailsOverDeadWorker(t *testing.T) {
 	inst := sched.Instance{R: 6, S: 9, T: 4}
 	pl := smallPlatform()
@@ -73,23 +65,22 @@ func TestPipelinedFailsOverDeadWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := res.Plan()
-	q := 3
 	for victim := 0; victim < pl.P(); victim++ {
 		for _, deathAt := range []int{0, 1, 3, 7} {
-			a, b, c, want := buildMatrices(t, inst, q, 11)
+			a, b, c, want := buildMatrices(t, inst, 3, 11)
 			be := newFaultyBackend(pl.P(), victim, deathAt)
-			if err := ExecutePipelined(inst.T, plan, a, b, c, be); err != nil {
+			opts := &Options{Tracker: adapt.NewTracker(pl.Workers, time.Microsecond, 0)}
+			if err := Execute(context.Background(), inst.T, res.Plan(), a, b, c, be, opts); err != nil {
 				t.Fatalf("victim %d death-at %d: %v", victim, deathAt, err)
 			}
-			if d := c.MaxAbsDiff(want); d > 1e-9 {
-				t.Errorf("victim %d death-at %d: C wrong by %g", victim, deathAt, d)
+			if !c.Equal(want, 0) {
+				t.Errorf("victim %d death-at %d: C wrong by %g", victim, deathAt, c.MaxAbsDiff(want))
 			}
 		}
 	}
 }
 
-// TestPipelinedAllWorkersDead checks the concurrent executor reports failure
+// TestPipelinedAllWorkersDead checks the k-of-n gate, too, reports failure
 // rather than silently dropping chunks when no survivor remains.
 func TestPipelinedAllWorkersDead(t *testing.T) {
 	inst := sched.Instance{R: 2, S: 2, T: 2}
@@ -102,8 +93,9 @@ func TestPipelinedAllWorkersDead(t *testing.T) {
 	b := matrix.NewBlockMatrix(inst.T, inst.S, q)
 	c := matrix.NewBlockMatrix(inst.R, inst.S, q)
 	be := &allDead{nw: smallPlatform().P()}
-	if err := ExecutePipelined(inst.T, res.Plan(), a, b, c, be); err == nil {
-		t.Fatal("pipelined executor claimed success with every worker dead")
+	opts := &Options{Redundancy: &Redundancy{Mode: "replicated"}}
+	if err := Execute(context.Background(), inst.T, res.Plan(), a, b, c, be, opts); err == nil {
+		t.Fatal("gated executor claimed success with every worker dead")
 	}
 }
 
@@ -125,13 +117,13 @@ func TestPipelinedRejectsOverlappingChunks(t *testing.T) {
 		{Worker: 1, Kind: trace.RecvC, Chunk: ch},
 	}
 	be := newFaultyBackend(2, 0, 1<<30)
-	if err := ExecutePipelined(2, plan, a, b, c, be); err == nil {
-		t.Fatal("overlapping chunks accepted by the pipelined executor")
+	if err := Execute(context.Background(), 2, plan, a, b, c, be, nil); err == nil {
+		t.Fatal("overlapping chunks accepted by the executor")
 	}
 }
 
-// TestPipelinedPacedOnePort runs the pipelined executor with paced links and
-// the one-port gate: the gate must serialize modeled transfer slots (so the
+// TestPipelinedPacedOnePort runs the executor with paced links and the
+// one-port gate: the gate must serialize modeled transfer slots (so the
 // run takes at least the summed transfer time) without breaking correctness.
 func TestPipelinedPacedOnePort(t *testing.T) {
 	inst := sched.Instance{R: 4, S: 6, T: 3}
@@ -143,8 +135,8 @@ func TestPipelinedPacedOnePort(t *testing.T) {
 	q := 2
 	a, b, c, want := buildMatrices(t, inst, q, 23)
 	start := time.Now()
-	cfg := Config{Workers: pl.P(), T: inst.T, Platform: pl, TimePerUnit: 20 * time.Microsecond, Pipelined: true, OnePort: true}
-	if err := Run(cfg, res.Plan(), a, b, c); err != nil {
+	cfg := Config{Workers: pl.P(), T: inst.T, Platform: pl, TimePerUnit: 20 * time.Microsecond, OnePort: true}
+	if err := Run(context.Background(), cfg, res.Plan(), a, b, c, nil); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < time.Millisecond {
@@ -156,7 +148,7 @@ func TestPipelinedPacedOnePort(t *testing.T) {
 }
 
 // TestApplyInstallmentParallelBitwise checks the multicore worker kernel is
-// bitwise-identical to the sequential one for every procs value: block
+// bitwise-identical to the inline (procs=1) one for every procs value: block
 // ownership never splits a block's ascending-k update order.
 func TestApplyInstallmentParallelBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -177,7 +169,7 @@ func TestApplyInstallmentParallelBitwise(t *testing.T) {
 	for i := range base {
 		seq[i] = base[i].Clone()
 	}
-	if err := ApplyInstallment(ch, seq, ab, bb, d); err != nil {
+	if err := ApplyInstallmentParallel(ch, seq, ab, bb, d, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{0, 2, 4, 16, 64} {
@@ -205,19 +197,11 @@ func TestRunPipelinedWithProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := 4
-	a, b, cSeq, want := buildMatrices(t, inst, q, 29)
-	_, _, cPar, _ := buildMatrices(t, inst, q, 29)
-	if err := Run(Config{Workers: pl.P(), T: inst.T}, res.Plan(), a, b, cSeq); err != nil {
+	a, b, c, want := buildMatrices(t, inst, 4, 29)
+	if err := Run(context.Background(), Config{Workers: pl.P(), T: inst.T, Procs: 3}, res.Plan(), a, b, c, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(Config{Workers: pl.P(), T: inst.T, Pipelined: true, Procs: 3}, res.Plan(), a, b, cPar); err != nil {
-		t.Fatal(err)
-	}
-	if d := cPar.MaxAbsDiff(cSeq); d != 0 {
-		t.Errorf("procs=3 pipelined C deviates from sequential C by %g", d)
-	}
-	if d := cPar.MaxAbsDiff(want); d > 1e-9 {
-		t.Errorf("procs=3 pipelined C deviates from reference by %g", d)
+	if !c.Equal(want, 0) {
+		t.Errorf("procs=3 C deviates from the serial reference by %g (want bitwise equality)", c.MaxAbsDiff(want))
 	}
 }

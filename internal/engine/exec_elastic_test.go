@@ -127,7 +127,7 @@ func (m *elasticMock) SendAB(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.
 	if h.blocks == nil || h.ch != ch {
 		return fmt.Errorf("mock: worker %d got inputs for %v it does not hold", w, ch)
 	}
-	return ApplyInstallment(ch, h.blocks, a, b, k1-k0)
+	return ApplyInstallmentParallel(ch, h.blocks, a, b, k1-k0, 1)
 }
 
 func (m *elasticMock) RecvC(w int, ch matrix.Chunk) ([]*matrix.Block, error) {
@@ -180,8 +180,8 @@ func rowPlan(nw, perWorker, s, t int) []sim.PlanOp {
 	return plan
 }
 
-// elasticFixture holds one run's operands plus the bitwise oracle C computed
-// by the sequential executor over a faultless backend.
+// elasticFixture holds one run's operands plus the bitwise oracle C, the
+// serial reference product.
 type elasticFixture struct {
 	t       *testing.T
 	tdim    int
@@ -200,7 +200,7 @@ func newElasticFixture(t *testing.T, plan []sim.PlanOp, nw, r, s, tdim, q int) *
 	b.FillRandom(rng)
 	c.FillRandom(rng)
 	want := c.Clone()
-	if err := Execute(tdim, plan, a, b, want, newElasticMock(nw)); err != nil {
+	if err := matrix.Multiply(want, a, b); err != nil {
 		t.Fatal(err)
 	}
 	return &elasticFixture{t: t, tdim: tdim, plan: plan, a: a, b: b, c: c, want: want}
@@ -209,7 +209,7 @@ func newElasticFixture(t *testing.T, plan []sim.PlanOp, nw, r, s, tdim, q int) *
 func (f *elasticFixture) assertBitwise() {
 	f.t.Helper()
 	if !f.c.Equal(f.want, 0) {
-		f.t.Fatal("elastic C is not bitwise-identical to the sequential executor's")
+		f.t.Fatal("elastic C is not bitwise-identical to the serial reference")
 	}
 }
 
@@ -226,9 +226,8 @@ func testTracker(n int) *adapt.Tracker {
 }
 
 // TestElasticMatchesSequentialBitwise: with no membership events and no
-// drift, the adaptive executor is just the pipelined executor — C must be
-// bitwise-identical to the strictly sequential run, for a scheduler-built
-// plan too.
+// drift, a tracked run is just plain dispatch — C must be bitwise-identical
+// to the serial reference, for a scheduler-built plan too.
 func TestElasticMatchesSequentialBitwise(t *testing.T) {
 	pl := elasticPlatform(3)
 	inst := sched.Instance{R: 6, S: 9, T: 4}
@@ -237,8 +236,8 @@ func TestElasticMatchesSequentialBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newElasticFixture(t, res.Plan(), 3, inst.R, inst.S, inst.T, 3)
-	el := &Elastic{Tracker: testTracker(3), DriftThreshold: -1}
-	if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, newElasticMock(3), el); err != nil {
+	el := &Options{Tracker: testTracker(3), DriftThreshold: -1}
+	if err := Execute(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, newElasticMock(3), el); err != nil {
 		t.Fatal(err)
 	}
 	f.assertBitwise()
@@ -263,7 +262,7 @@ func TestElasticJoinWhileQueueEmpty(t *testing.T) {
 		pending int
 	}
 	var replans []replan
-	el := &Elastic{
+	el := &Options{
 		Tracker:        testTracker(nw),
 		Join:           join,
 		DriftThreshold: -1,
@@ -283,7 +282,7 @@ func TestElasticJoinWhileQueueEmpty(t *testing.T) {
 		<-joined
 		close(be.recvGate)
 	}()
-	if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
+	if err := Execute(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
 		t.Fatal(err)
 	}
 	f.assertBitwise()
@@ -320,7 +319,7 @@ func TestElasticJoinMidReplay(t *testing.T) {
 	joined := make(chan struct{})
 	var mu sync.Mutex
 	counts := map[string]int{}
-	el := &Elastic{
+	el := &Options{
 		Tracker:        testTracker(nw),
 		Join:           join,
 		DriftThreshold: -1,
@@ -343,7 +342,7 @@ func TestElasticJoinMidReplay(t *testing.T) {
 		<-joined
 		close(be.recvGate)
 	}()
-	if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
+	if err := Execute(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
 		t.Fatal(err)
 	}
 	f.assertBitwise()
@@ -377,7 +376,7 @@ func TestElasticTwoDepartures(t *testing.T) {
 		be.startBarrier, be.barrierTarget = make(chan struct{}), nw
 		var mu sync.Mutex
 		departs := 0
-		el := &Elastic{
+		el := &Options{
 			Tracker:        testTracker(nw),
 			DriftThreshold: -1,
 			OnReplan: func(reason string, _ int) {
@@ -388,7 +387,7 @@ func TestElasticTwoDepartures(t *testing.T) {
 				}
 			},
 		}
-		if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
+		if err := Execute(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
 			t.Fatalf("death-at %d: %v", deathAt, err)
 		}
 		f.assertBitwise()
@@ -411,8 +410,8 @@ func TestElasticAllWorkersDead(t *testing.T) {
 	f := newElasticFixture(t, plan, nw, nw, 4, 3, 3)
 	be := newElasticMock(nw)
 	be.deadAfter[0], be.deadAfter[1], be.deadAfter[2] = 0, 0, 0
-	el := &Elastic{Tracker: testTracker(nw), DriftThreshold: -1}
-	if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err == nil {
+	el := &Options{Tracker: testTracker(nw), DriftThreshold: -1}
+	if err := Execute(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err == nil {
 		t.Fatal("executor claimed success with every worker dead")
 	}
 }
@@ -453,7 +452,7 @@ func TestElasticDriftReplansExactlyOnce(t *testing.T) {
 	be := newElasticMock(nw)
 	var mu sync.Mutex
 	counts := map[string]int{}
-	el := &Elastic{
+	el := &Options{
 		Tracker:        &scriptedEstimator{Tracker: testTracker(nw)},
 		DriftThreshold: 0.5,
 		OnReplan: func(reason string, pending int) {
@@ -462,7 +461,7 @@ func TestElasticDriftReplansExactlyOnce(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
+	if err := Execute(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
 		t.Fatal(err)
 	}
 	f.assertBitwise()
@@ -484,8 +483,8 @@ func TestElasticCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		el := &Elastic{Tracker: testTracker(nw), DriftThreshold: -1}
-		errc <- ExecuteElasticContext(ctx, f.tdim, f.plan, f.a, f.b, f.c, be, el)
+		el := &Options{Tracker: testTracker(nw), DriftThreshold: -1}
+		errc <- Execute(ctx, f.tdim, f.plan, f.a, f.b, f.c, be, el)
 	}()
 	cancel()
 	close(be.recvGate) // wake the wedged RecvCs; the abort must win
@@ -499,8 +498,8 @@ func TestElasticCancel(t *testing.T) {
 	}
 }
 
-// TestRunElasticContext drives the adaptive executor over the real
-// in-process goroutine backend end to end and checks observations landed.
+// TestRunElasticContext drives a tracked run over the real in-process
+// goroutine backend end to end and checks observations landed.
 func TestRunElasticContext(t *testing.T) {
 	pl := elasticPlatform(3)
 	inst := sched.Instance{R: 6, S: 9, T: 4}
@@ -518,16 +517,16 @@ func TestRunElasticContext(t *testing.T) {
 	b.FillRandom(rng)
 	c.FillRandom(rng)
 	want := c.Clone()
-	cfg := Config{Workers: pl.P(), T: inst.T, Platform: pl}
-	if err := Run(cfg, plan, a, b, want); err != nil {
+	if err := matrix.Multiply(want, a, b); err != nil {
 		t.Fatal(err)
 	}
+	cfg := Config{Workers: pl.P(), T: inst.T, Platform: pl}
 	tr := adapt.NewTracker(pl.Workers, time.Microsecond, 0)
-	if err := RunElasticContext(context.Background(), cfg, plan, a, b, c, &Elastic{Tracker: tr}); err != nil {
+	if err := Run(context.Background(), cfg, plan, a, b, c, &Options{Tracker: tr}); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Equal(want, 0) {
-		t.Fatal("elastic in-process C differs bitwise from the static run")
+		t.Fatal("tracked in-process C differs bitwise from the serial reference")
 	}
 	var samples int
 	for _, e := range tr.Snapshot() {

@@ -1,21 +1,19 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/matrix"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ErrUnitCanceled marks a dispatched unit abandoned on purpose by the k-of-n
 // gate: the job's result already landed from another copy (or a parity
-// decode), so the unit's worker was told to drop it. The redundant executor
-// treats it as absorbed straggler time, not as a failure. A backend may
+// decode), so the unit's worker was told to drop it. The gate treats it as
+// absorbed straggler time, not as a failure. A backend may
 // additionally wrap ErrWorkerDown when the cancel handshake had to retire the
 // link (a stalled worker never answers the cancel).
 var ErrUnitCanceled = errors.New("unit canceled")
@@ -30,6 +28,12 @@ type UnitCanceler interface {
 	// non-blocking: the outcome surfaces on the unit's own dispatch path as
 	// ErrUnitCanceled (possibly also wrapping ErrWorkerDown), as a duplicate
 	// result, or not at all.
+	//
+	// The request must be sticky: the gate cancels whatever is in flight,
+	// and a unit may still be in SendC or SendAB when its cancel arrives. An
+	// implementation must remember it and honour it once the unit reaches
+	// RecvC (internal/net keeps a per-link flag the result wait checks
+	// first); dropping it leaves a stalled unit to be waited out.
 	CancelUnit(w int, ch matrix.Chunk)
 }
 
@@ -45,7 +49,7 @@ type RawSender interface {
 
 // ReconstructFunc solves one parity group for its missing members. members
 // holds the group's committed chunk results by slot (nil where missing; the
-// blocks are read-only views into C). Each received parity contributes one
+// blocks are copies taken from C). Each received parity contributes one
 // coefficient row (its per-member encoding coefficients, slot order) and its
 // result blocks. It returns freshly allocated blocks per recovered slot, or
 // ok=false when the system is still underdetermined. internal/coded installs
@@ -83,7 +87,7 @@ type RedundancyStats struct {
 	Speculative   int64 // of Units, copies claimed dynamically by idle workers
 }
 
-// Redundancy configures ExecuteRedundantContext and collects its stats.
+// Redundancy configures Execute's k-of-n gate and collects its stats.
 // Units carries the planned redundancy (internal/coded builds it from adapt
 // estimates); an empty Units still enables the gate's dynamic speculation,
 // which is what absorbs a straggler no placement predicted.
@@ -93,11 +97,6 @@ type Redundancy struct {
 	// Reconstruct decodes parity groups; required for parity units to be
 	// usable (internal/coded always sets it).
 	Reconstruct ReconstructFunc
-	// SpeculationLimit caps the concurrent copies of one job claimed through
-	// the gate (planned replicas and the dynamic idle-worker speculation;
-	// the primary dispatch is exempt). ≤ 0 means 2: a primary plus one
-	// backup, the classic speculative-execution bound.
-	SpeculationLimit int
 
 	mu sync.Mutex
 	st RedundancyStats
@@ -117,11 +116,24 @@ func (r *Redundancy) bump(f func(*RedundancyStats)) {
 	r.mu.Unlock()
 }
 
-func (r *Redundancy) limit() int {
-	if r.SpeculationLimit > 0 {
-		return r.SpeculationLimit
+// copyLimit caps the concurrent copies of one job claimed through the gate
+// (planned replicas and the dynamic idle-worker speculation; the primary
+// dispatch is exempt): a primary plus one backup, the classic
+// speculative-execution bound.
+const copyLimit = 2
+
+// wasted counts one discarded duplicate result and its wire-size bytes.
+func (r *Redundancy) wasted(blocks []*matrix.Block) {
+	var n int64
+	if len(blocks) > 0 {
+		n = int64(len(blocks)) * int64(matrix.BlockWireSize(blocks[0].Q))
 	}
-	return 2
+	r.bump(func(st *RedundancyStats) {
+		st.DuplicateWins++
+		st.WastedBytes += n
+	})
+	mDuplicateWins.Inc()
+	mWastedBytes.Add(n)
 }
 
 // parityRes is one received parity result, held until its group decodes.
@@ -136,150 +148,113 @@ type groupState struct {
 	results []parityRes
 }
 
-// flight is one in-flight dispatch (primary, replica, parity, or speculative
-// copy), tracked so commits can wire-cancel the laggard copies.
-type flight struct {
-	w        int
-	job      int // < 0 for parity
-	ch       matrix.Chunk
-	t0       time.Time
-	canceled bool
-}
-
-// kofnGate is the redundant executor's shared state: which jobs have
-// committed, what is in flight, and the parity results waiting to decode.
-// One mutex orders every C access (snapshot staging, result commit, decode
-// reads), which is what lets several copies of one job coexist safely.
-type kofnGate struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	jobs      []sim.PlanJob
-	committed []bool
-	pending   int
-	copies    []int // concurrent gate-claimed copies per job (primaries exempt)
-	flights   map[int]*flight
-	nextID    int
-	groups    map[int]*groupState
-	jobGroups map[int][]int // job index → groups containing it
-	alive     []bool
-
-	firstErr error
-	aborted  bool
-
-	c   *matrix.BlockMatrix
-	red *Redundancy
-	uc  UnitCanceler
-}
-
-func (g *kofnGate) fail(err error) {
-	g.mu.Lock()
-	if g.firstErr == nil {
-		g.firstErr = err
+// initGate sets up the k-of-n gate: copy counters, parity groups, and each
+// planned unit queued on its worker behind that worker's plan jobs (the
+// systematic path runs first).
+func (x *executor) initGate() {
+	x.copies = make([]int, len(x.jobs))
+	x.groups = make(map[int]*groupState)
+	for i := range x.red.Units {
+		ru := &x.red.Units[i]
+		ws := x.ws[ru.Worker]
+		ws.queue = append(ws.queue, unit{job: ru.Job, ru: ru})
+		if ru.Job < 0 && x.groups[ru.Group] == nil {
+			materializePanels(nil, x.b, ru.Chunk, ru.Panels)
+			x.groups[ru.Group] = &groupState{members: ru.Members}
+		}
 	}
-	g.aborted = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
 }
 
-func (g *kofnGate) getErr() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.firstErr
-}
-
-// open registers a dispatch and returns its flight handle. Caller holds g.mu.
-func (g *kofnGate) openLocked(w, job int, ch matrix.Chunk) (int, *flight) {
-	id := g.nextID
-	g.nextID++
-	fl := &flight{w: w, job: job, ch: ch, t0: time.Now()}
-	g.flights[id] = fl
-	return id, fl
-}
-
-// close unregisters a dispatch. Caller holds g.mu; broadcast follows because
-// parked speculators key off the in-flight set.
-func (g *kofnGate) closeLocked(id int, countedCopy bool) {
-	fl := g.flights[id]
-	delete(g.flights, id)
-	if countedCopy && fl != nil && fl.job >= 0 {
-		g.copies[fl.job]--
+// admitLocked decides whether a queued unit still runs under the gate: a
+// primary unless its job committed (it is exempt from the copy cap), a
+// replica while its job is pending and under the cap (counted), a parity
+// unit while its group has a member missing. The bool is false for a skip.
+func (x *executor) admitLocked(u unit) (counted, ok bool) {
+	switch {
+	case u.ru == nil:
+		return false, !x.committed[u.job]
+	case u.job >= 0:
+		if x.committed[u.job] || x.copies[u.job] >= copyLimit {
+			return false, false
+		}
+		x.copies[u.job]++
+		counted = true
+	case len(x.missingLocked(x.groups[u.ru.Group])) == 0:
+		return false, false
 	}
-	g.cond.Broadcast()
+	x.red.bump(func(st *RedundancyStats) { st.Units++ })
+	mRedundantUnits.Inc()
+	return counted, true
 }
 
-// cancelLosersLocked wire-cancels every in-flight copy whose outcome can no
-// longer matter: copies of committed jobs, and parity units whose group is
-// fully committed. Caller holds g.mu.
-func (g *kofnGate) cancelLosersLocked() {
-	for _, fl := range g.flights {
-		if fl.canceled {
+// claimLocked picks a speculative copy for an idle worker: the pending job
+// with the fewest live copies (lowest index on ties, for determinism),
+// subject to the copy cap. It returns -1 when nothing is claimable.
+func (x *executor) claimLocked() int {
+	best := -1
+	for ji := range x.jobs {
+		if x.committed[ji] || x.copies[ji] >= copyLimit {
 			continue
 		}
-		// Replicas lose when their job commits; parity flights only once
-		// everything committed (a parity that lands while other groups are
-		// still open is at worst a duplicate win).
-		var lost bool
-		if fl.job >= 0 {
-			lost = g.committed[fl.job]
-		} else {
-			lost = g.pending == 0
+		if best < 0 || x.copies[ji] < x.copies[best] {
+			best = ji
 		}
-		if lost {
+	}
+	if best < 0 {
+		// Every pending job is at its copy cap: decode is now the only way
+		// forward for whatever a parity can cover.
+		x.tryDecodeAllLocked()
+		return -1
+	}
+	x.copies[best]++
+	x.red.bump(func(st *RedundancyStats) { st.Units++; st.Speculative++ })
+	mRedundantUnits.Inc()
+	if x.copies[best] >= copyLimit {
+		// This claim saturated the job's copy cap: if every copy stalls, no
+		// future claim will rescue it, so parity decode becomes eligible now.
+		x.tryDecodeAllLocked()
+		if x.committed[best] {
+			x.copies[best]--
+			return -1
+		}
+	}
+	return best
+}
+
+// cancelLosersLocked wire-cancels every in-flight unit whose outcome can no
+// longer matter: copies of committed jobs, and parity units once everything
+// committed (a parity that lands while other groups are still open is at
+// worst a duplicate win).
+func (x *executor) cancelLosersLocked() {
+	for w, ws := range x.ws {
+		fl := &ws.fl
+		if !fl.active || fl.canceled {
+			continue
+		}
+		if (fl.job >= 0 && x.committed[fl.job]) || (fl.job < 0 && x.pending == 0) {
 			fl.canceled = true
-			if g.uc != nil {
-				g.uc.CancelUnit(fl.w, fl.ch)
+			if x.uc != nil {
+				x.uc.CancelUnit(w, fl.ch)
 			}
 		}
 	}
 }
 
-// commitJobLocked lands one job result: first copy wins and is written into
-// C, later copies are counted as duplicate wins and dropped. Caller holds
-// g.mu. Returns a fatal error only on a malformed result.
-func (g *kofnGate) commitJobLocked(ji int, blocks []*matrix.Block) error {
-	if g.committed[ji] {
-		g.red.bump(func(st *RedundancyStats) {
-			st.DuplicateWins++
-			st.WastedBytes += wireBytes(blocks)
-		})
-		mDuplicateWins.Inc()
-		mWastedBytes.Add(wireBytes(blocks))
-		return nil
-	}
-	if err := writeChunk(g.c, g.jobs[ji].Chunk, blocks); err != nil {
-		return err
-	}
-	g.committed[ji] = true
-	g.pending--
-	g.cancelLosersLocked()
-	g.tryDecodeJobGroupsLocked(ji)
-	g.cond.Broadcast()
-	return nil
-}
-
 // commitParityLocked stores one parity result and attempts its group decode.
-// Caller holds g.mu.
-func (g *kofnGate) commitParityLocked(ru *RedundantUnit, blocks []*matrix.Block) error {
-	gs := g.groups[ru.Group]
-	missing := g.missingLocked(gs)
-	if len(missing) == 0 {
-		g.red.bump(func(st *RedundancyStats) {
-			st.DuplicateWins++
-			st.WastedBytes += wireBytes(blocks)
-		})
-		mDuplicateWins.Inc()
-		mWastedBytes.Add(wireBytes(blocks))
+func (x *executor) commitParityLocked(ru *RedundantUnit, blocks []*matrix.Block) error {
+	gs := x.groups[ru.Group]
+	if len(x.missingLocked(gs)) == 0 {
+		x.red.wasted(blocks)
 		return nil
 	}
 	gs.results = append(gs.results, parityRes{coeffs: ru.Coeffs, blocks: blocks})
-	return g.tryDecodeLocked(ru.Group)
+	return x.tryDecodeLocked(ru.Group)
 }
 
-func (g *kofnGate) missingLocked(gs *groupState) []int {
+func (x *executor) missingLocked(gs *groupState) []int {
 	var out []int
 	for s, ji := range gs.members {
-		if !g.committed[ji] {
+		if !x.committed[ji] {
 			out = append(out, s)
 		}
 	}
@@ -287,35 +262,24 @@ func (g *kofnGate) missingLocked(gs *groupState) []int {
 }
 
 // tryDecodeAllLocked sweeps every parity group; the per-group saturation
-// guard in tryDecodeLocked keeps this cheap and conservative. Caller holds
-// g.mu.
-func (g *kofnGate) tryDecodeAllLocked() {
-	for gid := range g.groups {
-		if err := g.tryDecodeLocked(gid); err != nil && g.firstErr == nil {
-			g.firstErr = err
-			g.aborted = true
-		}
-	}
-}
-
-func (g *kofnGate) tryDecodeJobGroupsLocked(ji int) {
-	for _, gid := range g.jobGroups[ji] {
-		if err := g.tryDecodeLocked(gid); err != nil && g.firstErr == nil {
-			g.firstErr = err
-			g.aborted = true
+// guard in tryDecodeLocked keeps this cheap and conservative.
+func (x *executor) tryDecodeAllLocked() {
+	for gid := range x.groups {
+		if err := x.tryDecodeLocked(gid); err != nil {
+			x.failLocked(err)
 		}
 	}
 }
 
 // tryDecodeLocked reconstructs a group's uncommitted members once enough
 // parity results have arrived, committing each recovery exactly as a job
-// result. Caller holds g.mu.
-func (g *kofnGate) tryDecodeLocked(gid int) error {
-	if g.red.Reconstruct == nil {
+// result.
+func (x *executor) tryDecodeLocked(gid int) error {
+	if x.red.Reconstruct == nil {
 		return nil
 	}
-	gs := g.groups[gid]
-	missing := g.missingLocked(gs)
+	gs := x.groups[gid]
+	missing := x.missingLocked(gs)
 	if len(missing) == 0 || len(gs.results) < len(missing) {
 		return nil
 	}
@@ -325,14 +289,14 @@ func (g *kofnGate) tryDecodeLocked(gid int) error {
 	// A member that can still be claimed keeps its chance to land verbatim,
 	// which is what keeps straggler-free runs bitwise-identical.
 	for _, s := range missing {
-		if g.copies[gs.members[s]] < g.red.limit() {
+		if x.copies[gs.members[s]] < copyLimit {
 			return nil
 		}
 	}
 	members := make([][]*matrix.Block, len(gs.members))
 	for s, ji := range gs.members {
-		if g.committed[ji] {
-			members[s] = chunkView(g.c, g.jobs[ji].Chunk)
+		if x.committed[ji] {
+			members[s] = cloneChunk(x.c, x.jobs[ji].Chunk, nil, nil)
 		}
 	}
 	coeffs := make([][]float64, len(gs.results))
@@ -341,7 +305,7 @@ func (g *kofnGate) tryDecodeLocked(gid int) error {
 		coeffs[i] = res.coeffs
 		parities[i] = res.blocks
 	}
-	recovered, ok := g.red.Reconstruct(members, coeffs, parities)
+	recovered, ok := x.red.Reconstruct(members, coeffs, parities)
 	if !ok {
 		return nil
 	}
@@ -350,38 +314,20 @@ func (g *kofnGate) tryDecodeLocked(gid int) error {
 			return fmt.Errorf("engine: parity decode of group %d produced slot %d of %d", gid, slot, len(gs.members))
 		}
 		ji := gs.members[slot]
-		if g.committed[ji] {
+		if x.committed[ji] {
 			continue
 		}
-		if err := writeChunk(g.c, g.jobs[ji].Chunk, blocks); err != nil {
+		if err := writeChunk(x.c, x.jobs[ji].Chunk, blocks); err != nil {
 			return err
 		}
-		g.committed[ji] = true
-		g.pending--
-		g.red.bump(func(st *RedundancyStats) { st.Decodes++ })
+		x.committed[ji] = true
+		x.pending--
+		x.red.bump(func(st *RedundancyStats) { st.Decodes++ })
 		mDecodes.Inc()
 	}
-	g.cancelLosersLocked()
-	g.cond.Broadcast()
+	x.cancelLosersLocked()
+	x.wakeLocked()
 	return nil
-}
-
-// chunkView collects read-only pointers to chunk ch's blocks in C, row-major.
-func chunkView(c *matrix.BlockMatrix, ch matrix.Chunk) []*matrix.Block {
-	out := make([]*matrix.Block, 0, ch.Blocks())
-	for i := ch.Row0; i < ch.Row0+ch.H; i++ {
-		for j := ch.Col0; j < ch.Col0+ch.W; j++ {
-			out = append(out, c.Block(i, j))
-		}
-	}
-	return out
-}
-
-func wireBytes(blocks []*matrix.Block) int64 {
-	if len(blocks) == 0 {
-		return 0
-	}
-	return int64(len(blocks)) * int64(matrix.BlockWireSize(blocks[0].Q))
 }
 
 // cloneBlocks deep-copies a block list (retaining backends mutate the chunk
@@ -394,557 +340,45 @@ func cloneBlocks(blocks []*matrix.Block) []*matrix.Block {
 	return out
 }
 
-// ExecuteRedundantContext executes plan through be under a k-of-n completion
-// gate: beyond the plan's own (systematic) jobs it dispatches red.Units —
-// replicas and MDS parity units placed at plan time — and lets idle workers
-// claim speculative copies of whatever is still pending, so the run completes
-// as soon as *any* k of the n dispatched units land (parity decode standing
-// in for missing members). The first result of a job wins; laggard copies are
-// wire-cancelled when the backend supports it and their late results are
-// discarded as duplicate wins. C is bitwise-identical to Execute's whenever
-// every committed result came from a systematic unit (replicas replay the
-// identical snapshot and installment sequence), which is every straggler-free
-// run and every replicated-mode recovery; only a parity decode substitutes
-// reconstructed floating-point values, within solver tolerance.
-//
-// A nil red (or one with no units and speculation disabled by a 1 limit with
-// no redundancy to place) still runs correctly — with red == nil this is
-// exactly ExecutePipelinedContext.
-func ExecuteRedundantContext(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, be Backend, red *Redundancy) error {
-	if red == nil {
-		return ExecutePipelinedContext(ctx, t, plan, a, b, c, be)
-	}
-	jobs, _, err := validatePlan(t, plan, a, b, c, be)
-	if err != nil {
-		return err
-	}
-	if err := checkChunksDisjoint(jobs, c.Rows, c.Cols); err != nil {
-		return err
-	}
-	nw := be.Workers()
-	if err := validateRedundancy(red, jobs, nw, t, c); err != nil {
-		return err
-	}
-	if ctx.Err() != nil {
-		return abortErr(ctx, nil)
-	}
-
-	// Materialize every A/B block any unit touches before dispatch goroutines
-	// gather them concurrently (as the pipelined executor does), parity units'
-	// B panels included.
-	for _, j := range jobs {
-		materializePanels(a, b, j.Chunk, j.Panels)
-	}
-	for i := range red.Units {
-		ru := &red.Units[i]
-		if ru.Job < 0 {
-			materializePanels(nil, b, ru.Chunk, ru.Panels)
-		}
-	}
-
-	g := &kofnGate{
-		jobs:      jobs,
-		committed: make([]bool, len(jobs)),
-		pending:   len(jobs),
-		copies:    make([]int, len(jobs)),
-		flights:   make(map[int]*flight),
-		groups:    make(map[int]*groupState),
-		jobGroups: make(map[int][]int),
-		alive:     make([]bool, nw),
-		c:         c,
-		red:       red,
-	}
-	g.cond = sync.NewCond(&g.mu)
-	g.uc, _ = be.(UnitCanceler)
-	raw, _ := be.(RawSender)
-	for w := range g.alive {
-		g.alive[w] = true
-	}
-	for i := range red.Units {
-		ru := &red.Units[i]
-		if ru.Job >= 0 {
-			continue
-		}
-		gs := g.groups[ru.Group]
-		if gs == nil {
-			gs = &groupState{members: ru.Members}
-			g.groups[ru.Group] = gs
-			for _, ji := range ru.Members {
-				g.jobGroups[ji] = append(g.jobGroups[ji], ru.Group)
-			}
-		}
-	}
-
-	stopWatch := context.AfterFunc(ctx, func() { g.fail(ctx.Err()) })
-	defer stopWatch()
-	rec := trace.FromContext(ctx)
-
-	// Static queues: each worker's plan jobs in plan order (the systematic
-	// path runs first), then its planned redundant units.
-	type unit struct {
-		job int
-		ru  *RedundantUnit
-	}
-	queues := make([][]unit, nw)
-	for ji, j := range jobs {
-		queues[j.Worker] = append(queues[j.Worker], unit{job: ji})
-	}
-	for i := range red.Units {
-		ru := &red.Units[i]
-		queues[ru.Worker] = append(queues[ru.Worker], unit{job: ru.Job, ru: ru})
-	}
-
-	// dispatch runs one unit end to end and commits its result through the
-	// gate. It returns false when this worker's link is gone and the goroutine
-	// must stop.
-	dispatch := func(w int, u unit, st *stager) bool {
-		// Stage the C payload under the gate lock: a snapshot must never
-		// observe a half-committed chunk region, and the skip decision must be
-		// atomic with the commits it reads.
-		g.mu.Lock()
-		if g.aborted || g.pending == 0 {
-			g.mu.Unlock()
-			return false
-		}
-		var cBlocks []*matrix.Block
-		countedCopy := false
-		switch {
-		case u.ru == nil: // primary: always runs, exempt from the copy cap
-			if g.committed[u.job] {
-				g.mu.Unlock()
-				return true
-			}
-			cBlocks = st.stageChunk(c, jobs[u.job].Chunk)
-		case u.ru.Job >= 0: // planned replica
-			if g.committed[u.job] || g.copies[u.job]+1 >= g.red.limit()+1 {
-				g.mu.Unlock()
-				return true
-			}
-			g.copies[u.job]++
-			countedCopy = true
-			g.red.bump(func(st *RedundancyStats) { st.Units++ })
-			mRedundantUnits.Inc()
-			cBlocks = st.stageChunk(c, jobs[u.job].Chunk)
-		default: // parity
-			if len(g.missingLocked(g.groups[u.ru.Group])) == 0 {
-				g.mu.Unlock()
-				return true
-			}
-			g.red.bump(func(st *RedundancyStats) { st.Units++ })
-			mRedundantUnits.Inc()
-			cBlocks = u.ru.CSeed
-			if !st.copies {
-				cBlocks = cloneBlocks(cBlocks)
-			}
-		}
-		var ch matrix.Chunk
-		if u.ru != nil && u.ru.Job < 0 {
-			ch = u.ru.Chunk
-		} else {
-			ch = jobs[u.job].Chunk
-		}
-		id, fl := g.openLocked(w, u.job, ch)
-		g.mu.Unlock()
-
-		var blocks []*matrix.Block
-		var runErr error
-		if u.ru != nil && u.ru.Job < 0 {
-			blocks, runErr = runParityUnit(be, raw, w, u.ru, b, st, cBlocks)
-		} else {
-			blocks, runErr = runUnitJob(be, w, jobs[u.job], a, b, st, cBlocks)
-		}
-
-		g.mu.Lock()
-		canceled := fl.canceled
-		g.closeLocked(id, countedCopy)
-		if runErr != nil {
-			g.mu.Unlock()
-			if canceled || errors.Is(runErr, ErrUnitCanceled) {
-				// Absorbed straggler (or laggard): record how long the unit
-				// had been in flight when the gate gave up on it.
-				d := time.Since(fl.t0)
-				g.red.bump(func(st *RedundancyStats) { st.Absorbed++ })
-				hStragglerAbsorbed.Observe(d)
-				if errors.Is(runErr, ErrWorkerDown) {
-					g.mu.Lock()
-					g.alive[w] = false
-					g.mu.Unlock()
-					g.cond.Broadcast()
-					return false
-				}
-				return true // clean cancel handshake: the link survived
-			}
-			if errors.Is(runErr, ErrWorkerDown) && ctx.Err() == nil {
-				mFailovers.Inc()
-				g.mu.Lock()
-				g.alive[w] = false
-				g.mu.Unlock()
-				g.cond.Broadcast()
-				return false
-			}
-			g.fail(runErr)
-			return false
-		}
-		var commitErr error
-		if u.ru != nil && u.ru.Job < 0 {
-			commitErr = g.commitParityLocked(u.ru, blocks)
-		} else {
-			commitErr = g.commitJobLocked(u.job, blocks)
-		}
-		if commitErr != nil && g.firstErr == nil {
-			g.firstErr = commitErr
-			g.aborted = true
-			g.cond.Broadcast()
-		}
-		g.mu.Unlock()
-		return commitErr == nil
-	}
-
-	// claim picks the next speculative copy for an idle worker: the pending
-	// job with the fewest live copies (lowest index on ties, for determinism),
-	// subject to the copy cap. It parks on the gate's cond until something is
-	// claimable or the run is over, and returns -1 when this worker is done.
-	claim := func(w int) int {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		for {
-			if g.aborted || g.pending == 0 || !g.alive[w] {
-				return -1
-			}
-			best, bestCopies := -1, 0
-			for ji := range jobs {
-				if g.committed[ji] || g.copies[ji]+1 > g.red.limit() {
-					continue
-				}
-				if best == -1 || g.copies[ji] < bestCopies {
-					best, bestCopies = ji, g.copies[ji]
-				}
-			}
-			if best >= 0 {
-				g.copies[best]++
-				g.red.bump(func(st *RedundancyStats) { st.Units++; st.Speculative++ })
-				mRedundantUnits.Inc()
-				if g.copies[best] >= g.red.limit() {
-					// This claim saturated the job's copy cap: if every copy
-					// stalls, no future claim will rescue it, so this is the
-					// moment parity decode becomes eligible.
-					g.tryDecodeAllLocked()
-				}
-				return best
-			}
-			// Nothing claimable means every pending job is at its copy cap:
-			// decode is now the only way forward for whatever a parity can
-			// cover. Only park if that made no progress.
-			before := g.pending
-			g.tryDecodeAllLocked()
-			if g.pending != before || g.aborted {
-				continue
-			}
-			if len(g.flights) == 0 {
-				return -1 // nothing running, nothing claimable: wave is over
-			}
-			g.cond.Wait()
-		}
-	}
-
-	runWave := func(qs [][]unit) {
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			g.mu.Lock()
-			liveW := g.alive[w]
-			g.mu.Unlock()
-			if !liveW {
-				continue
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				st := newStager(be)
-				st.rec = rec
-				for _, u := range qs[w] {
-					if !dispatch(w, u, st) {
-						return
-					}
-				}
-				// Speculative phase: keep claiming copies of pending jobs
-				// until everything committed. The claim is opened (copy
-				// counted) inside claim; dispatch recognizes the pre-counted
-				// claim through a synthetic replica unit.
-				for {
-					ji := claim(w)
-					if ji < 0 {
-						return
-					}
-					ok := func() bool {
-						g.mu.Lock()
-						if g.aborted || g.committed[ji] {
-							g.copies[ji]--
-							g.mu.Unlock()
-							g.cond.Broadcast()
-							return !g.aborted
-						}
-						cBlocks := st.stageChunk(c, jobs[ji].Chunk)
-						id, fl := g.openLocked(w, ji, jobs[ji].Chunk)
-						g.mu.Unlock()
-						blocks, runErr := runUnitJob(be, w, jobs[ji], a, b, st, cBlocks)
-						g.mu.Lock()
-						canceled := fl.canceled
-						g.closeLocked(id, true)
-						if runErr != nil {
-							g.mu.Unlock()
-							if canceled || errors.Is(runErr, ErrUnitCanceled) {
-								d := time.Since(fl.t0)
-								g.red.bump(func(st *RedundancyStats) { st.Absorbed++ })
-								hStragglerAbsorbed.Observe(d)
-								if errors.Is(runErr, ErrWorkerDown) {
-									g.mu.Lock()
-									g.alive[w] = false
-									g.mu.Unlock()
-									g.cond.Broadcast()
-									return false
-								}
-								return true
-							}
-							if errors.Is(runErr, ErrWorkerDown) && ctx.Err() == nil {
-								mFailovers.Inc()
-								g.mu.Lock()
-								g.alive[w] = false
-								g.mu.Unlock()
-								g.cond.Broadcast()
-								return false
-							}
-							g.fail(runErr)
-							return false
-						}
-						if err := g.commitJobLocked(ji, blocks); err != nil && g.firstErr == nil {
-							g.firstErr = err
-							g.aborted = true
-							g.cond.Broadcast()
-						}
-						live := g.firstErr == nil
-						g.mu.Unlock()
-						return live
-					}()
-					if !ok {
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	runWave(queues)
-
-	// Replay loop: speculation means the first wave normally drains
-	// everything, so this only fires when workers died faster than copies
-	// could land. Reassign the uncommitted jobs round-robin over survivors
-	// (as plain primaries — the gate keeps arbitrating) until done or empty.
-	for g.getErr() == nil {
-		g.mu.Lock()
-		pending := g.pending
-		var survivors []int
-		for w := 0; w < nw; w++ {
-			if g.alive[w] {
-				survivors = append(survivors, w)
-			}
-		}
-		var left []int
-		for ji := range jobs {
-			if !g.committed[ji] {
-				left = append(left, ji)
-			}
-		}
-		g.mu.Unlock()
-		if pending == 0 {
-			break
-		}
-		if len(survivors) == 0 {
-			return abortErr(ctx, fmt.Errorf("engine: no workers left to replay chunk %v: %w", jobs[left[0]].Chunk, ErrWorkerDown))
-		}
-		assign := make([][]unit, nw)
-		for i, ji := range left {
-			w := survivors[i%len(survivors)]
-			assign[w] = append(assign[w], unit{job: ji})
-		}
-		mReplays.Add(int64(len(left)))
-		runWave(assign)
-	}
-	return abortErr(ctx, g.getErr())
-}
-
-// runUnitJob is runJob with the chunk snapshot staged by the caller (under
-// the gate lock) and the result returned instead of written — commits go
-// through the gate.
-func runUnitJob(be Backend, w int, j sim.PlanJob, a, b *matrix.BlockMatrix, st *stager, cBlocks []*matrix.Block) ([]*matrix.Block, error) {
-	mChunks.Inc()
-	t0 := time.Now()
-	err := be.SendC(w, j.Chunk, cBlocks)
-	if err == nil {
-		st.observe(w, trace.SendC, j.Chunk.Blocks(), t0, time.Now())
-	}
-	st.releaseChunk(cBlocks)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range j.Panels {
-		am, bm := st.stagePanels(a, b, j.Chunk, p[0], p[1])
-		t0 = time.Now()
-		if err := be.SendAB(w, j.Chunk, p[0], p[1], am, bm); err != nil {
-			return nil, err
-		}
-		st.observe(w, trace.SendAB, len(am)+len(bm), t0, time.Now())
-	}
-	t0 = time.Now()
-	result, err := be.RecvC(w, j.Chunk)
-	if err != nil {
-		return nil, err
-	}
-	st.observe(w, trace.RecvC, j.Chunk.Blocks(), t0, time.Now())
-	return result, nil
-}
-
-// runParityUnit runs a parity unit's chunk job: the pre-encoded C seed
-// (already cloned for retaining backends), the pre-encoded A panels, and the
-// group's shared B panels, all under the unit's borrowed chunk coordinates.
-// Digest-addressed transports are bypassed through raw when available.
-func runParityUnit(be Backend, raw RawSender, w int, ru *RedundantUnit, b *matrix.BlockMatrix, st *stager, cBlocks []*matrix.Block) ([]*matrix.Block, error) {
-	mChunks.Inc()
-	ch := ru.Chunk
-	t0 := time.Now()
-	err := be.SendC(w, ch, cBlocks)
-	if err == nil {
-		st.observe(w, trace.SendC, ch.Blocks(), t0, time.Now())
-	}
-	if err != nil {
-		return nil, err
-	}
-	for pi, p := range ru.Panels {
-		am := ru.ASeeds[pi]
-		bm := gatherBPanels(b, ch, p[0], p[1])
-		t0 = time.Now()
-		if raw != nil {
-			err = raw.SendABRaw(w, ch, p[0], p[1], am, bm)
-		} else {
-			err = be.SendAB(w, ch, p[0], p[1], am, bm)
-		}
-		if err != nil {
-			return nil, err
-		}
-		st.observe(w, trace.SendAB, len(am)+len(bm), t0, time.Now())
-	}
-	t0 = time.Now()
-	var result []*matrix.Block
-	if raw != nil {
-		result, err = raw.RecvCRaw(w, ch)
-	} else {
-		result, err = be.RecvC(w, ch)
-	}
-	if err != nil {
-		return nil, err
-	}
-	st.observe(w, trace.RecvC, ch.Blocks(), t0, time.Now())
-	return result, nil
-}
-
-// gatherBPanels collects the B panels of installment [k0, k1) for chunk ch
-// ((k1-k0)×ch.W, row-major) — the A side of a parity unit is pre-encoded.
-func gatherBPanels(b *matrix.BlockMatrix, ch matrix.Chunk, k0, k1 int) []*matrix.Block {
-	out := make([]*matrix.Block, 0, (k1-k0)*ch.W)
-	for k := k0; k < k1; k++ {
-		for j := ch.Col0; j < ch.Col0+ch.W; j++ {
-			out = append(out, b.Block(k, j))
-		}
-	}
-	return out
-}
-
-// materializePanels forces allocation of the A/B blocks chunk ch's
-// installments touch (either matrix may be nil to skip its side).
-func materializePanels(a, b *matrix.BlockMatrix, ch matrix.Chunk, panels [][2]int) {
-	for _, p := range panels {
-		if a != nil {
-			for i := ch.Row0; i < ch.Row0+ch.H; i++ {
-				for k := p[0]; k < p[1]; k++ {
-					a.Block(i, k)
-				}
-			}
-		}
-		if b != nil {
-			for k := p[0]; k < p[1]; k++ {
-				for j := ch.Col0; j < ch.Col0+ch.W; j++ {
-					b.Block(k, j)
-				}
-			}
-		}
-	}
-}
-
 // validateRedundancy checks red.Units against the validated plan: worker and
 // job ranges, and for parity units the full payload geometry — group
-// consistency, member compatibility (same chunk shape, B columns, and
-// installment schedule, which is what makes the weighted-sum algebra hold),
-// and pre-encoded seed shapes.
+// consistency, seed shapes, and member compatibility (same chunk shape, B
+// columns, and installment schedule, which is what makes the weighted-sum
+// algebra hold).
 func validateRedundancy(red *Redundancy, jobs []sim.PlanJob, nw, t int, c *matrix.BlockMatrix) error {
 	groupMembers := make(map[int][]int)
 	for i := range red.Units {
 		ru := &red.Units[i]
-		if ru.Worker < 0 || ru.Worker >= nw {
+		switch {
+		case ru.Worker < 0 || ru.Worker >= nw:
 			return fmt.Errorf("engine: redundant unit %d references worker %d of %d", i, ru.Worker, nw)
-		}
-		if ru.Job >= 0 {
-			if ru.Job >= len(jobs) {
-				return fmt.Errorf("engine: redundant unit %d replicates job %d of %d", i, ru.Job, len(jobs))
-			}
+		case ru.Job >= len(jobs):
+			return fmt.Errorf("engine: redundant unit %d replicates job %d of %d", i, ru.Job, len(jobs))
+		case ru.Job >= 0:
 			continue
-		}
-		if len(ru.Members) == 0 || len(ru.Coeffs) != len(ru.Members) {
+		case len(ru.Members) == 0 || len(ru.Coeffs) != len(ru.Members):
 			return fmt.Errorf("engine: parity unit %d has %d members, %d coefficients", i, len(ru.Members), len(ru.Coeffs))
+		case len(ru.CSeed) != ru.Chunk.Blocks() || len(ru.ASeeds) != len(ru.Panels):
+			return fmt.Errorf("engine: parity unit %d seeds %d C blocks and %d installments for chunk %v with %d", i, len(ru.CSeed), len(ru.ASeeds), ru.Chunk, len(ru.Panels))
 		}
-		if prev, ok := groupMembers[ru.Group]; ok {
-			if len(prev) != len(ru.Members) {
-				return fmt.Errorf("engine: parity group %d has inconsistent member sets", ru.Group)
-			}
-			for s := range prev {
-				if prev[s] != ru.Members[s] {
-					return fmt.Errorf("engine: parity group %d has inconsistent member sets", ru.Group)
-				}
-			}
-		} else {
-			groupMembers[ru.Group] = ru.Members
+		if prev, ok := groupMembers[ru.Group]; ok && !slices.Equal(prev, ru.Members) {
+			return fmt.Errorf("engine: parity group %d has inconsistent member sets", ru.Group)
 		}
-		if !ru.Chunk.Valid(c.Rows, c.Cols) {
-			return fmt.Errorf("engine: parity unit %d chunk %v outside C (%dx%d)", i, ru.Chunk, c.Rows, c.Cols)
-		}
-		if len(ru.CSeed) != ru.Chunk.Blocks() {
-			return fmt.Errorf("engine: parity unit %d seeds %d blocks for chunk %v", i, len(ru.CSeed), ru.Chunk)
-		}
-		if len(ru.ASeeds) != len(ru.Panels) {
-			return fmt.Errorf("engine: parity unit %d has %d A seeds for %d installments", i, len(ru.ASeeds), len(ru.Panels))
+		groupMembers[ru.Group] = ru.Members
+		if err := checkJob(ru.Chunk, ru.Panels, t, c); err != nil {
+			return fmt.Errorf("engine: parity unit %d: %w", i, err)
 		}
 		for pi, p := range ru.Panels {
-			if p[0] < 0 || p[1] > t || p[0] >= p[1] {
-				return fmt.Errorf("engine: parity unit %d installment panels [%d,%d) outside t=%d", i, p[0], p[1], t)
-			}
 			if len(ru.ASeeds[pi]) != ru.Chunk.H*(p[1]-p[0]) {
 				return fmt.Errorf("engine: parity unit %d installment %d seeds %d A blocks, want %d", i, pi, len(ru.ASeeds[pi]), ru.Chunk.H*(p[1]-p[0]))
 			}
 		}
-		for s, ji := range ru.Members {
+		for _, ji := range ru.Members {
 			if ji < 0 || ji >= len(jobs) {
-				return fmt.Errorf("engine: parity unit %d member %d references job %d of %d", i, s, ji, len(jobs))
+				return fmt.Errorf("engine: parity unit %d member references job %d of %d", i, ji, len(jobs))
 			}
-			mc := jobs[ji].Chunk
-			if mc.H != ru.Chunk.H || mc.W != ru.Chunk.W || mc.Col0 != ru.Chunk.Col0 {
-				return fmt.Errorf("engine: parity unit %d member job %d chunk %v incompatible with parity chunk %v", i, ji, mc, ru.Chunk)
-			}
-			if len(jobs[ji].Panels) != len(ru.Panels) {
-				return fmt.Errorf("engine: parity unit %d member job %d installment schedule differs", i, ji)
-			}
-			for pi, p := range jobs[ji].Panels {
-				if p != ru.Panels[pi] {
-					return fmt.Errorf("engine: parity unit %d member job %d installment schedule differs", i, ji)
-				}
+			if mc := jobs[ji].Chunk; mc.H != ru.Chunk.H || mc.W != ru.Chunk.W || mc.Col0 != ru.Chunk.Col0 || !slices.Equal(jobs[ji].Panels, ru.Panels) {
+				return fmt.Errorf("engine: parity unit %d member job %d (chunk %v) is incompatible with parity chunk %v or its installments", i, ji, mc, ru.Chunk)
 			}
 		}
 	}

@@ -14,116 +14,145 @@ import (
 
 // stallBackend is a concurrency-safe in-process compute backend for the
 // k-of-n gate tests: every worker computes installments for real (so results
-// are bitwise-comparable against the plain executors), and a pluggable stall
-// predicate freezes chosen units at their RecvC until the gate wire-cancels
-// them through CancelUnit — the in-process stand-in for a live-but-stalled
-// TCP worker.
+// are bitwise-comparable against the serial reference), and a pluggable
+// stall predicate, asked once per unit at SendC, freezes chosen units at
+// their RecvC until the gate wire-cancels them through CancelUnit — the
+// in-process stand-in for a live-but-stalled TCP worker. With sendWaits a
+// stalled unit also holds its first SendAB until the cancel arrives, so the
+// cancel provably lands before the unit reaches RecvC.
+//
+// Cancels are sticky, as UnitCanceler requires: each unit's cancel channel
+// exists from SendC on, and a cancel that arrives mid-send is honoured when
+// the unit reaches RecvC.
 type stallBackend struct {
-	nw    int
-	stall func(w int, ch matrix.Chunk) bool
+	nw        int
+	stall     func(w int, ch matrix.Chunk) bool
+	sendWaits bool
 
-	mu      sync.Mutex
-	held    []map[matrix.Chunk][]*matrix.Block
-	cancels []map[matrix.Chunk]chan struct{}
+	mu    sync.Mutex
+	units []map[matrix.Chunk]*stallUnit
+}
+
+type stallUnit struct {
+	blocks  []*matrix.Block
+	stalled bool
+	cancel  chan struct{} // closed by CancelUnit
 }
 
 func newStallBackend(nw int, stall func(w int, ch matrix.Chunk) bool) *stallBackend {
 	be := &stallBackend{nw: nw, stall: stall}
-	be.held = make([]map[matrix.Chunk][]*matrix.Block, nw)
-	be.cancels = make([]map[matrix.Chunk]chan struct{}, nw)
-	for w := 0; w < nw; w++ {
-		be.held[w] = make(map[matrix.Chunk][]*matrix.Block)
-		be.cancels[w] = make(map[matrix.Chunk]chan struct{})
+	be.units = make([]map[matrix.Chunk]*stallUnit, nw)
+	for w := range be.units {
+		be.units[w] = make(map[matrix.Chunk]*stallUnit)
 	}
 	return be
 }
 
 func (be *stallBackend) Workers() int { return be.nw }
 
+func (be *stallBackend) unit(w int, ch matrix.Chunk) (*stallUnit, error) {
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	u, ok := be.units[w][ch]
+	if !ok {
+		return nil, fmt.Errorf("worker %d does not hold %v", w, ch)
+	}
+	return u, nil
+}
+
+// waitCancel parks a stalled unit until its cancel, or fails after 30s.
+func (u *stallUnit) waitCancel(w int, ch matrix.Chunk) error {
+	select {
+	case <-u.cancel:
+		return nil
+	case <-time.After(30 * time.Second):
+		return fmt.Errorf("worker %d stalled on %v and was never canceled", w, ch)
+	}
+}
+
 func (be *stallBackend) SendC(w int, ch matrix.Chunk, blocks []*matrix.Block) error {
 	be.mu.Lock()
 	defer be.mu.Unlock()
-	if _, dup := be.held[w][ch]; dup {
+	if _, dup := be.units[w][ch]; dup {
 		return fmt.Errorf("worker %d already holds chunk %v", w, ch)
 	}
-	be.held[w][ch] = blocks
+	be.units[w][ch] = &stallUnit{blocks: blocks, stalled: be.stall != nil && be.stall(w, ch), cancel: make(chan struct{})}
 	return nil
 }
 
 func (be *stallBackend) SendAB(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
-	be.mu.Lock()
-	blocks, ok := be.held[w][ch]
-	be.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("worker %d got inputs for %v it does not hold", w, ch)
+	u, err := be.unit(w, ch)
+	if err != nil {
+		return err
 	}
-	return ApplyInstallment(ch, blocks, a, b, k1-k0)
+	if u.stalled && be.sendWaits && k0 == 0 {
+		if err := u.waitCancel(w, ch); err != nil {
+			return err
+		}
+	}
+	return ApplyInstallmentParallel(ch, u.blocks, a, b, k1-k0, 1)
 }
 
 func (be *stallBackend) RecvC(w int, ch matrix.Chunk) ([]*matrix.Block, error) {
-	be.mu.Lock()
-	blocks, ok := be.held[w][ch]
-	if !ok {
-		be.mu.Unlock()
-		return nil, fmt.Errorf("worker %d asked to flush %v it does not hold", w, ch)
+	u, err := be.unit(w, ch)
+	if err != nil {
+		return nil, err
 	}
-	if be.stall != nil && be.stall(w, ch) {
-		cancel := make(chan struct{})
-		be.cancels[w][ch] = cancel
-		be.mu.Unlock()
-		select {
-		case <-cancel:
-		case <-time.After(30 * time.Second):
-			return nil, fmt.Errorf("worker %d stalled on %v and was never canceled", w, ch)
-		}
-		be.mu.Lock()
-		delete(be.cancels[w], ch)
-		delete(be.held[w], ch)
-		be.mu.Unlock()
+	if u.stalled {
+		err = u.waitCancel(w, ch)
+	}
+	be.mu.Lock()
+	delete(be.units[w], ch)
+	be.mu.Unlock()
+	switch {
+	case err != nil:
+		return nil, err
+	case u.stalled:
 		return nil, fmt.Errorf("stalled unit dropped: %w", ErrUnitCanceled)
 	}
-	delete(be.held[w], ch)
-	be.mu.Unlock()
-	return blocks, nil
+	return u.blocks, nil
 }
 
 func (be *stallBackend) CancelUnit(w int, ch matrix.Chunk) {
 	be.mu.Lock()
 	defer be.mu.Unlock()
-	if cancel, ok := be.cancels[w][ch]; ok {
-		close(cancel)
+	if u, ok := be.units[w][ch]; ok {
+		select {
+		case <-u.cancel:
+		default:
+			close(u.cancel)
+		}
 	}
 }
 
-// planAndMatrices schedules inst with s and builds the operands plus a plain
-// pipelined-run baseline C for bitwise comparison.
+// planAndMatrices schedules inst with s and builds the operands plus the
+// serial reference C for bitwise comparison.
 func planAndMatrices(t *testing.T, s sched.Scheduler, inst sched.Instance, q int, seed int64) (plan []sim.PlanOp, a, b, c, base *matrix.BlockMatrix) {
 	t.Helper()
 	res, err := s.Schedule(smallPlatform(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan = res.Plan()
-	a, b, c, _ = buildMatrices(t, inst, q, seed)
-	_, _, base, _ = buildMatrices(t, inst, q, seed)
-	cfg := Config{Workers: smallPlatform().P(), T: inst.T, Pipelined: true}
-	if err := RunContext(context.Background(), cfg, plan, a, b, base); err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-	return plan, a, b, c, base
+	a, b, c, base = buildMatrices(t, inst, q, seed)
+	return res.Plan(), a, b, c, base
+}
+
+// runRedundant runs plan in process under red.
+func runRedundant(inst sched.Instance, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, red *Redundancy) error {
+	cfg := Config{Workers: smallPlatform().P(), T: inst.T}
+	return Run(context.Background(), cfg, plan, a, b, c, &Options{Redundancy: red})
 }
 
 // TestRedundantNilRedMatchesPlainBitwise: a nil Redundancy must be exactly
-// today's pipelined executor, byte for byte.
+// plain dispatch, byte for byte.
 func TestRedundantNilRedMatchesPlainBitwise(t *testing.T) {
 	inst := sched.Instance{R: 6, S: 9, T: 4}
 	plan, a, b, c, base := planAndMatrices(t, sched.Het{}, inst, 3, 11)
-	cfg := Config{Workers: smallPlatform().P(), T: inst.T, Pipelined: true}
-	if err := RunRedundantContext(context.Background(), cfg, plan, a, b, c, nil); err != nil {
+	if err := runRedundant(inst, plan, a, b, c, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := c.MaxAbsDiff(base); d != 0 {
-		t.Fatalf("nil-red C differs from plain pipelined C by %g (want bitwise equal)", d)
+		t.Fatalf("nil-red C differs from the serial reference by %g (want bitwise equal)", d)
 	}
 }
 
@@ -133,13 +162,11 @@ func TestRedundantNilRedMatchesPlainBitwise(t *testing.T) {
 func TestRedundantEmptyUnitsMatchesPlainBitwise(t *testing.T) {
 	inst := sched.Instance{R: 6, S: 9, T: 4}
 	plan, a, b, c, base := planAndMatrices(t, sched.Het{}, inst, 3, 12)
-	cfg := Config{Workers: smallPlatform().P(), T: inst.T, Pipelined: true}
-	red := &Redundancy{Mode: "replicated"}
-	if err := RunRedundantContext(context.Background(), cfg, plan, a, b, c, red); err != nil {
+	if err := runRedundant(inst, plan, a, b, c, &Redundancy{Mode: "replicated"}); err != nil {
 		t.Fatal(err)
 	}
 	if d := c.MaxAbsDiff(base); d != 0 {
-		t.Fatalf("gated C differs from plain pipelined C by %g (want bitwise equal)", d)
+		t.Fatalf("gated C differs from the serial reference by %g (want bitwise equal)", d)
 	}
 }
 
@@ -147,7 +174,7 @@ func TestRedundantEmptyUnitsMatchesPlainBitwise(t *testing.T) {
 // another worker, so nearly every job produces a duplicate result the gate
 // must arbitrate (first commit wins, laggard discarded). Run under -race this
 // is the duplicate-result arbitration test; the result must stay bitwise
-// equal to the plain run because every copy replays the identical snapshot
+// equal to the serial reference because every copy replays the identical snapshot
 // and installment sequence.
 func TestRedundantReplicasBitwiseAndArbitrated(t *testing.T) {
 	inst := sched.Instance{R: 8, S: 12, T: 5}
@@ -162,12 +189,11 @@ func TestRedundantReplicasBitwiseAndArbitrated(t *testing.T) {
 		for ji, j := range jobs {
 			red.Units = append(red.Units, RedundantUnit{Worker: (j.Worker + 1) % nw, Job: ji})
 		}
-		cfg := Config{Workers: nw, T: inst.T, Pipelined: true}
-		if err := RunRedundantContext(context.Background(), cfg, plan, a, b, c, red); err != nil {
+		if err := runRedundant(inst, plan, a, b, c, red); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		if d := c.MaxAbsDiff(base); d != 0 {
-			t.Fatalf("%s: replicated C differs from plain C by %g (want bitwise equal)", s.Name(), d)
+			t.Fatalf("%s: replicated C differs from the serial reference by %g (want bitwise equal)", s.Name(), d)
 		}
 		st := red.Stats()
 		if st.Units == 0 {
@@ -180,54 +206,57 @@ func TestRedundantReplicasBitwiseAndArbitrated(t *testing.T) {
 }
 
 // TestRedundantAbsorbsStalledUnit freezes the first copy of one chosen job
-// to reach its result — whichever worker carries it — for 30s ≫ the test
+// to be dispatched — whichever worker carries it — for 30s ≫ the test
 // budget, and expects the gate to commit that job through another copy
 // (replica or speculation) and wire-cancel the stalled one: the straggler is
 // absorbed with zero timeout waiting, and C stays bitwise-identical because
-// every committed result is systematic.
+// every committed result is systematic. In the sendWaits case the stalled
+// unit is still in SendAB when its cancel arrives, which only a sticky
+// cancel absorbs in time.
 func TestRedundantAbsorbsStalledUnit(t *testing.T) {
-	inst := sched.Instance{R: 8, S: 12, T: 5}
-	plan, a, b, c, base := planAndMatrices(t, sched.Het{}, inst, 3, 14)
-	jobs, _, err := sim.JobsFromPlan(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw := smallPlatform().P()
-	red := &Redundancy{Mode: "replicated"}
-	for ji, j := range jobs {
-		red.Units = append(red.Units, RedundantUnit{Worker: (j.Worker + 1) % nw, Job: ji})
-	}
-	victim := jobs[0].Chunk
-	var mu sync.Mutex
-	engaged := false
-	be := newStallBackend(nw, func(w int, ch matrix.Chunk) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if ch == victim && !engaged {
-			engaged = true
-			return true
+	for _, sendWaits := range []bool{false, true} {
+		inst := sched.Instance{R: 8, S: 12, T: 5}
+		plan, a, b, c, base := planAndMatrices(t, sched.Het{}, inst, 3, 14)
+		jobs, _, err := sim.JobsFromPlan(plan)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return false
-	})
-	start := time.Now()
-	if err := ExecuteRedundantContext(context.Background(), inst.T, plan, a, b, c, be, red); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if elapsed > 10*time.Second {
-		t.Fatalf("run took %v; the stalled unit was waited out instead of absorbed", elapsed)
-	}
-	if d := c.MaxAbsDiff(base); d != 0 {
-		t.Fatalf("C differs from plain run by %g (want bitwise equal: every commit is systematic)", d)
-	}
-	st := red.Stats()
-	if st.Absorbed == 0 {
-		t.Errorf("stalled unit was never recorded as absorbed (stats %+v)", st)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !engaged {
-		t.Fatal("stall never engaged; the test exercised nothing")
+		nw := smallPlatform().P()
+		red := &Redundancy{Mode: "replicated"}
+		for ji, j := range jobs {
+			red.Units = append(red.Units, RedundantUnit{Worker: (j.Worker + 1) % nw, Job: ji})
+		}
+		victim := jobs[0].Chunk
+		var mu sync.Mutex
+		engaged := false
+		be := newStallBackend(nw, func(w int, ch matrix.Chunk) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			if ch == victim && !engaged {
+				engaged = true
+				return true
+			}
+			return false
+		})
+		be.sendWaits = sendWaits
+		start := time.Now()
+		if err := Execute(context.Background(), inst.T, plan, a, b, c, be, &Options{Redundancy: red}); err != nil {
+			t.Fatalf("sendWaits=%v: %v", sendWaits, err)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Fatalf("sendWaits=%v: run took %v; the stalled unit was waited out instead of absorbed", sendWaits, elapsed)
+		}
+		if d := c.MaxAbsDiff(base); d != 0 {
+			t.Fatalf("sendWaits=%v: C differs from the serial reference by %g (want bitwise equal: every commit is systematic)", sendWaits, d)
+		}
+		if st := red.Stats(); st.Absorbed == 0 {
+			t.Errorf("sendWaits=%v: stalled unit was never recorded as absorbed (stats %+v)", sendWaits, st)
+		}
+		mu.Lock()
+		if !engaged {
+			t.Fatalf("sendWaits=%v: stall never engaged; the test exercised nothing", sendWaits)
+		}
+		mu.Unlock()
 	}
 }
 
@@ -236,14 +265,12 @@ func TestRedundantAbsorbsStalledUnit(t *testing.T) {
 func TestRedundantValidationRejectsBadUnits(t *testing.T) {
 	inst := sched.Instance{R: 6, S: 9, T: 4}
 	plan, a, b, c, _ := planAndMatrices(t, sched.Het{}, inst, 3, 15)
-	cfg := Config{Workers: smallPlatform().P(), T: inst.T, Pipelined: true}
 	for name, units := range map[string][]RedundantUnit{
 		"worker out of range": {{Worker: 99, Job: 0}},
 		"job out of range":    {{Worker: 0, Job: 9999}},
 		"negative worker":     {{Worker: -1, Job: 0}},
 	} {
-		red := &Redundancy{Mode: "replicated", Units: units}
-		if err := RunRedundantContext(context.Background(), cfg, plan, a, b, c, red); err == nil {
+		if err := runRedundant(inst, plan, a, b, c, &Redundancy{Mode: "replicated", Units: units}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -62,7 +63,7 @@ func (f *faultyBackend) SendAB(w int, ch matrix.Chunk, k0, k1 int, a, b []*matri
 	if f.held[w].blocks == nil || f.held[w].ch != ch {
 		return fmt.Errorf("worker %d got inputs for %v it does not hold", w, ch)
 	}
-	return ApplyInstallment(ch, f.held[w].blocks, a, b, k1-k0)
+	return ApplyInstallmentParallel(ch, f.held[w].blocks, a, b, k1-k0, 1)
 }
 
 func (f *faultyBackend) RecvC(w int, ch matrix.Chunk) ([]*matrix.Block, error) {
@@ -102,7 +103,7 @@ func TestExecuteFailsOverDeadWorker(t *testing.T) {
 				t.Fatal(err)
 			}
 			be := newFaultyBackend(pl.P(), victim, deathAt)
-			if err := Execute(inst.T, plan, a, b, c, be); err != nil {
+			if err := Execute(context.Background(), inst.T, plan, a, b, c, be, nil); err != nil {
 				t.Fatalf("victim %d death-at %d: %v", victim, deathAt, err)
 			}
 			if d := c.MaxAbsDiff(want); d > 1e-9 {
@@ -127,7 +128,7 @@ func TestExecuteAllWorkersDead(t *testing.T) {
 	// Every worker dies immediately: victim catches one, and the replay
 	// backend below kills the rest.
 	be := &allDead{nw: smallPlatform().P()}
-	if err := Execute(inst.T, res.Plan(), a, b, c, be); err == nil {
+	if err := Execute(context.Background(), inst.T, res.Plan(), a, b, c, be, nil); err == nil {
 		t.Fatal("executor claimed success with every worker dead")
 	}
 }

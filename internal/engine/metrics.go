@@ -7,10 +7,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Process-wide executor metrics. Every executor (sequential, pipelined,
-// elastic) funnels through runJob/elasticRunJob or the sequential op loop,
-// so these four counters plus the three per-op latency histograms cover all
-// real executions — in-process, distributed, and every serve lease.
+// Process-wide executor metrics. Every unit Execute dispatches goes through
+// runUnit, so these counters plus the three per-op latency histograms cover
+// all real executions — in-process, distributed, and every serve lease.
 var (
 	mChunks = obs.NewCounter("mm_engine_chunks_total",
 		"Chunk jobs dispatched to workers, replays included.")
@@ -19,7 +18,7 @@ var (
 	mFailovers = obs.NewCounter("mm_engine_worker_failures_total",
 		"Workers retired mid-run (connection loss, heartbeat timeout, elastic departure).")
 	mReplans = obs.NewCounter("mm_engine_replans_total",
-		"Elastic executor re-plans (worker join, departure, or estimate drift).")
+		"Executor re-plans of tracked runs (worker join, departure, or estimate drift).")
 
 	mRedundantUnits = obs.NewCounter("mm_engine_redundant_units_total",
 		"Redundant work units dispatched by the k-of-n gate (replicas, parities, speculative copies).")

@@ -4,7 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -13,7 +15,8 @@ import (
 // TestRecorderEventCounts checks the invariant the per-job trace export
 // relies on: a recorded run carries exactly one sendC and one recvC span per
 // chunk and one sendAB span per installment — the same op counts as the
-// plan — whichever executor ran it, and the computed C is still correct.
+// plan — with or without estimate tracking, and the computed C is still
+// correct.
 func TestRecorderEventCounts(t *testing.T) {
 	pl := smallPlatform()
 	inst := sched.Instance{R: 7, S: 11, T: 5}
@@ -30,7 +33,8 @@ func TestRecorderEventCounts(t *testing.T) {
 		t.Fatalf("degenerate plan: op counts %v", want)
 	}
 
-	for name, pipelined := range map[string]bool{"sequential": false, "pipelined": true} {
+	tracked := &Options{Tracker: adapt.NewTracker(pl.Workers, time.Microsecond, 0)}
+	for name, opts := range map[string]*Options{"pipelined": nil, "tracked": tracked} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			q := 3
@@ -47,12 +51,12 @@ func TestRecorderEventCounts(t *testing.T) {
 
 			rec := trace.NewRecorder("Het")
 			ctx := trace.NewContext(context.Background(), rec)
-			cfg := Config{Workers: pl.P(), T: inst.T, Pipelined: pipelined}
-			if err := RunContext(ctx, cfg, plan, a, b, c); err != nil {
+			cfg := Config{Workers: pl.P(), T: inst.T}
+			if err := Run(ctx, cfg, plan, a, b, c, opts); err != nil {
 				t.Fatal(err)
 			}
-			if d := c.MaxAbsDiff(wantC); d > 1e-9 {
-				t.Errorf("recorded run deviates from reference by %g", d)
+			if !c.Equal(wantC, 0) {
+				t.Errorf("recorded run deviates from reference by %g", c.MaxAbsDiff(wantC))
 			}
 
 			tr := rec.Trace()

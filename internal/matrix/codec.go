@@ -7,7 +7,7 @@ import (
 	"math"
 )
 
-// Binary block framing used by the TCP cluster runtime: a fixed header
+// Binary block framing used by the TCP runtime (internal/net): a fixed header
 // (magic, q) followed by q² little-endian float64 values. gob would work but
 // costs ~3× in encode time for large numeric slices; the schedulers move many
 // thousands of 51 KB blocks, so the wire format matters.
@@ -133,8 +133,8 @@ func ReadBlock(r io.Reader) (*Block, error) {
 	return (&BlockCodec{}).ReadBlock(r)
 }
 
-// BlockWireSize returns the framed size in bytes of a q×q block, used by the
-// cluster runtime to budget link-rate emulation.
+// BlockWireSize returns the framed size in bytes of a q×q block, used to
+// account wire bytes without encoding.
 func BlockWireSize(q int) int { return 8 + 8*q*q }
 
 // maxBlockList caps how many blocks one message may carry; the largest real

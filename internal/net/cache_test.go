@@ -1,6 +1,7 @@
 package net
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -37,7 +38,7 @@ func TestCacheLoopbackBitwiseAndSkips(t *testing.T) {
 
 	a, b, cNet, _ := testMatrices(t, inst, q, 31)
 	_, _, cEng, _ := testMatrices(t, inst, q, 31)
-	if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng); err != nil {
+	if err := engine.Run(context.Background(), engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,7 +55,7 @@ func TestCacheLoopbackBitwiseAndSkips(t *testing.T) {
 	run := func(c *matrix.BlockMatrix) []WorkerCacheStats {
 		t.Helper()
 		m.BeginJob(jp)
-		if err := m.RunPipelined(inst.T, plan, a, b, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, plan, a, b, c, nil); err != nil {
 			t.Fatal(err)
 		}
 		st := m.CacheStats()
@@ -84,7 +85,7 @@ func TestCacheLoopbackBitwiseAndSkips(t *testing.T) {
 	// move zero A/B payload bytes.
 	_, _, cNet2, _ := testMatrices(t, inst, q, 31)
 	_, _, cEng2, _ := testMatrices(t, inst, q, 31)
-	if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng2); err != nil {
+	if err := engine.Run(context.Background(), engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng2, nil); err != nil {
 		t.Fatal(err)
 	}
 	st2 := run(cNet2)
@@ -120,7 +121,7 @@ func TestCacheOffWorkerFallsBack(t *testing.T) {
 
 	a, b, cNet, _ := testMatrices(t, inst, q, 33)
 	_, _, cEng, _ := testMatrices(t, inst, q, 33)
-	if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng); err != nil {
+	if err := engine.Run(context.Background(), engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -139,7 +140,7 @@ func TestCacheOffWorkerFallsBack(t *testing.T) {
 	defer m.Shutdown()
 
 	m.BeginJob(cache.PanelsForJob(a, b))
-	if err := m.RunPipelined(inst.T, plan, a, b, cNet); err != nil {
+	if err := m.Execute(context.Background(), inst.T, plan, a, b, cNet, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := m.CacheStats()
@@ -186,11 +187,11 @@ func TestCacheTinyBudgetEvictionMidLease(t *testing.T) {
 	for job := 0; job < 3; job++ {
 		_, b, cNet, _ := testMatrices(t, inst, q, int64(50+job))
 		_, _, cEng, _ := testMatrices(t, inst, q, int64(50+job))
-		if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng); err != nil {
+		if err := engine.Run(context.Background(), engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng, nil); err != nil {
 			t.Fatal(err)
 		}
 		m.BeginJob(cache.PanelsForJob(a, b))
-		if err := m.RunPipelined(inst.T, plan, a, b, cNet); err != nil {
+		if err := m.Execute(context.Background(), inst.T, plan, a, b, cNet, nil); err != nil {
 			t.Fatalf("job %d: %v", job, err)
 		}
 		m.EndJob()
@@ -216,7 +217,7 @@ func TestCacheCrashFailoverStaysCorrect(t *testing.T) {
 
 	a, b, cNet, _ := testMatrices(t, inst, q, 60)
 	_, _, cEng, _ := testMatrices(t, inst, q, 60)
-	if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng); err != nil {
+	if err := engine.Run(context.Background(), engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,7 +235,7 @@ func TestCacheCrashFailoverStaysCorrect(t *testing.T) {
 	defer m.Shutdown()
 
 	m.BeginJob(cache.PanelsForJob(a, b))
-	if err := m.RunPipelined(inst.T, plan, a, b, cNet); err != nil {
+	if err := m.Execute(context.Background(), inst.T, plan, a, b, cNet, nil); err != nil {
 		t.Fatal(err)
 	}
 	m.EndJob()

@@ -33,7 +33,7 @@ func TestElasticJoinAndDepartOverTCP(t *testing.T) {
 
 	a, b, cNet, want := testMatrices(t, inst, q, 33)
 	_, _, cEng, _ := testMatrices(t, inst, q, 33)
-	if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng); err != nil {
+	if err := engine.Run(context.Background(), engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +57,7 @@ func TestElasticJoinAndDepartOverTCP(t *testing.T) {
 	join := make(chan int, 1)
 	departed := make(chan struct{})
 	var once sync.Once
-	el := &engine.Elastic{
+	el := &engine.Options{
 		Tracker: tr,
 		Join:    join,
 		OnReplan: func(reason string, _ int) {
@@ -89,7 +89,7 @@ func TestElasticJoinAndDepartOverTCP(t *testing.T) {
 		joinErr <- nil
 	}()
 
-	if err := m.RunElasticContext(context.Background(), inst.T, plan, a, b, cNet, el); err != nil {
+	if err := m.Execute(context.Background(), inst.T, plan, a, b, cNet, el); err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}
 	if err := <-joinErr; err != nil {
@@ -168,7 +168,7 @@ func TestElasticCancelReachesJoinedWorker(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		errc <- m.RunElasticContext(ctx, inst.T, res.Plan(), a, b, c, &engine.Elastic{Tracker: tr, Join: join})
+		errc <- m.Execute(ctx, inst.T, res.Plan(), a, b, c, &engine.Options{Tracker: tr, Join: join})
 	}()
 	// Join the second worker while the first is stalled mid-job, then cancel:
 	// the whole run — joined connection included — must unwind promptly.

@@ -25,7 +25,7 @@ type MasterOptions struct {
 	// heartbeat interval, every receive: a worker that neither beats nor
 	// answers within max(IOTimeout, 3×heartbeat) is declared down. Default 30s.
 	IOTimeout time.Duration
-	// OnePort serializes outbound frames across workers when RunPipelined
+	// OnePort serializes outbound frames across workers while the executor
 	// drives the links concurrently, approximating the paper's one-port
 	// master on the send side (return transfers ride the kernel's receive
 	// path and are not gated). Faithful to the model, the port stays busy
@@ -51,9 +51,9 @@ func (o *MasterOptions) withDefaults() MasterOptions {
 }
 
 // link is one worker connection; a nil conn marks a retired worker. Each
-// link carries its own block codecs (one per direction) so the pipelined
-// executor's per-worker goroutines encode and decode without shared state,
-// and steady-state frames reuse the codecs' scratch buffers.
+// link carries its own block codecs (one per direction) so the executor's
+// per-worker goroutines encode and decode without shared state, and
+// steady-state frames reuse the codecs' scratch buffers.
 type link struct {
 	conn      net.Conn
 	rd        *bufio.Reader
@@ -133,9 +133,15 @@ func DialWorkerContext(ctx context.Context, addr string, opts *MasterOptions) (*
 }
 
 // deadlineWithin returns now+d, clipped to ctx's deadline when that is
-// sooner: the caller's context budget wins over a configured default.
+// sooner: the caller's context budget wins over a configured default. A
+// cancelled ctx yields an already-expired deadline, so no I/O armed after
+// the cancel can outlive it.
 func deadlineWithin(ctx context.Context, d time.Duration) time.Time {
-	dl := time.Now().Add(d)
+	now := time.Now()
+	if ctx.Err() != nil {
+		return now
+	}
+	dl := now.Add(d)
 	if cd, ok := ctx.Deadline(); ok && cd.Before(dl) {
 		dl = cd
 	}
@@ -256,20 +262,19 @@ func (wc *WorkerConn) Close() {
 }
 
 // Master drives remote workers over TCP. It implements engine.Backend, so
-// Run executes plans through exactly the same code path as the in-process
+// Execute runs plans through exactly the same code path as the in-process
 // engine; only the block transport differs.
 //
-// A Master is reusable: successive Run/RunPipelined calls replay successive
-// plans over the same worker sessions (each job leaves every worker idle
-// again), and Detach recovers the still-open connections for pooling.
+// A Master is reusable: successive Execute calls replay successive plans
+// over the same worker sessions (each job leaves every worker idle again),
+// and Detach recovers the still-open connections for pooling.
 //
 // A Master is also *growable*: AddWorker joins a registered connection while
-// a run is in flight, which is how the elastic executor
-// (RunElasticContext) re-plans mid-job onto workers that arrive after the
-// job started.
+// a run is in flight, which is how a tracked Execute re-plans mid-job onto
+// workers that arrive after the job started.
 type Master struct {
 	opts MasterOptions
-	gate *engine.TransferGate // non-nil when opts.OnePort: serializes sends
+	port sync.Mutex // with opts.OnePort, held for each outbound frame
 
 	// mu guards the link table (AddWorker appends while dispatch goroutines
 	// index it) and the lifecycle flags. Individual links stay single-owner:
@@ -326,9 +331,6 @@ func DialContext(ctx context.Context, addrs []string, opts *MasterOptions) (*Mas
 // directly in the meantime.
 func NewMaster(conns []*WorkerConn, opts *MasterOptions) (*Master, error) {
 	m := &Master{opts: opts.withDefaults()}
-	if m.opts.OnePort {
-		m.gate = &engine.TransferGate{}
-	}
 	for i, wc := range conns {
 		if wc == nil || wc.l.conn == nil {
 			return nil, fmt.Errorf("net: worker conn %d is closed", i)
@@ -343,12 +345,12 @@ func NewMaster(conns []*WorkerConn, opts *MasterOptions) (*Master, error) {
 
 // AddWorker joins an already-registered worker connection to this master:
 // the link is appended and becomes addressable as the next plan worker
-// index, which AddWorker returns. It is safe while a run is in flight — the
-// elastic executor (RunElasticContext) is told the index through
-// Elastic.Join and re-plans un-dispatched chunks onto the newcomer; a
-// cancellation arriving meanwhile reaches the new connection too. The
-// master owns the connection from here on, exactly as if it had been part
-// of NewMaster's lease. Fails once the master has been detached or spent.
+// index, which AddWorker returns. It is safe while a run is in flight — a
+// tracked Execute is told the index through Options.Join and re-plans
+// queued chunks onto the newcomer; a cancellation arriving meanwhile
+// reaches the new connection too. The master owns the connection from here
+// on, exactly as if it had been part of NewMaster's lease. Fails once the
+// master has been detached or spent.
 func (m *Master) AddWorker(wc *WorkerConn) (int, error) {
 	if wc == nil || wc.l.conn == nil {
 		return 0, fmt.Errorf("net: add worker: connection is closed")
@@ -497,8 +499,7 @@ func (m *Master) CancelUnit(w int, ch matrix.Chunk) {
 
 // ioDeadline is now+base clipped to the running context's deadline, so a
 // ctx with a budget shorter than IOTimeout bounds every blocking send and
-// receive; a cancelled (not merely deadlined) ctx is handled separately by
-// the interrupt installed in runContext.
+// receive; once the run is cancelled it is already expired.
 func (m *Master) ioDeadline(base time.Duration) time.Time {
 	if m.runCtx != nil {
 		return deadlineWithin(m.runCtx, base)
@@ -506,11 +507,22 @@ func (m *Master) ioDeadline(base time.Duration) time.Time {
 	return time.Now().Add(base)
 }
 
+// arm sets a link deadline through set. The interrupt installed in
+// runContext may fire between computing dl and arming it; re-checking the
+// run's context afterwards keeps such a cancel from being overwritten by a
+// fresh IOTimeout (or heartbeat-extended) deadline.
+func (m *Master) arm(set func(time.Time) error, dl time.Time) {
+	set(dl)
+	if m.runCtx != nil && m.runCtx.Err() != nil {
+		set(time.Now())
+	}
+}
+
 // send frames one message to worker w with the write deadline applied. With
-// OnePort, the frame occupies the master's single send port (the gate) for
-// the duration of the write — the pipelined executor's concurrent dispatch
-// goroutines then ship at most one outbound transfer at a time, while their
-// workers keep computing.
+// OnePort, the frame occupies the master's single send port for the
+// duration of the write — the executor's concurrent dispatch goroutines then
+// ship at most one outbound transfer at a time, while their workers keep
+// computing.
 func (m *Master) send(w int, op string, msg *Msg) error {
 	l := m.link(w)
 	if l == nil {
@@ -519,9 +531,11 @@ func (m *Master) send(w int, op string, msg *Msg) error {
 	if l.conn == nil {
 		return fmt.Errorf("net: %s to worker %d (%s): link retired: %w", op, w, l.name, engine.ErrWorkerDown)
 	}
-	m.gate.Lock()
-	defer m.gate.Unlock()
-	l.conn.SetWriteDeadline(m.ioDeadline(m.opts.IOTimeout))
+	if m.opts.OnePort {
+		m.port.Lock()
+		defer m.port.Unlock()
+	}
+	m.arm(l.conn.SetWriteDeadline, m.ioDeadline(m.opts.IOTimeout))
 	if err := WriteMsgCodec(l.wr, msg, &l.enc); err != nil {
 		return m.down(w, op, err)
 	}
@@ -536,10 +550,8 @@ func (m *Master) SendC(w int, ch matrix.Chunk, blocks []*matrix.Block) error {
 	return m.send(w, "send chunk", &Msg{Kind: MsgChunk, Chunk: ch, Blocks: blocks})
 }
 
-// SendAB implements engine.Backend. The A/B pointer lists are concatenated
-// into the link's scratch slice — safe to reuse per send because the frame
-// is fully staged on the wire before send returns, and each link is driven
-// by at most one dispatch goroutine at a time.
+// SendAB implements engine.Backend: digest-addressed during a panel-cache
+// epoch the worker joined, a plain streamed frame (SendABRaw) otherwise.
 func (m *Master) SendAB(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
 	l := m.link(w)
 	if l == nil {
@@ -548,25 +560,17 @@ func (m *Master) SendAB(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block
 	if jp := m.jobPanels(); jp != nil && l.cacheable {
 		return m.sendInstallD(w, l, jp, ch, k0, k1, a, b)
 	}
-	st := m.stat(w)
-	q := 0
-	if len(a) > 0 {
-		q = a[0].Q
-	} else if len(b) > 0 {
-		q = b[0].Q
-	}
-	ws := int64(k1-k0) * int64(matrix.BlockWireSize(q))
-	st.aSent.Add(int64(ch.H) * ws)
-	st.bSent.Add(int64(ch.W) * ws)
-	l.abBuf = append(append(l.abBuf[:0], a...), b...)
-	return m.send(w, "send install", &Msg{Kind: MsgInstall, Chunk: ch, K0: k0, K1: k1, Blocks: l.abBuf})
+	return m.SendABRaw(w, ch, k0, k1, a, b)
 }
 
 // SendABRaw implements engine.RawSender: ship the installment as a plain
 // streamed frame even when a panel-cache epoch is open. Parity units carry
 // pre-encoded payloads under borrowed chunk coordinates; addressing them by
 // the job's panel digests would install encoded bytes under the real panels'
-// identities on both sides of the link.
+// identities on both sides of the link. The A/B pointer lists are
+// concatenated into the link's scratch slice — safe to reuse per send
+// because the frame is fully staged on the wire before send returns, and
+// each link is driven by at most one dispatch goroutine at a time.
 func (m *Master) SendABRaw(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
 	l := m.link(w)
 	if l == nil {
@@ -631,9 +635,9 @@ func (m *Master) recvC(w int, ch matrix.Chunk, promote bool) ([]*matrix.Block, e
 			cancelBy = time.Now().Add(cancelWait(l))
 		}
 		if sentCancel {
-			l.conn.SetReadDeadline(cancelBy)
+			m.arm(l.conn.SetReadDeadline, cancelBy)
 		} else {
-			l.conn.SetReadDeadline(m.ioDeadline(wait))
+			m.arm(l.conn.SetReadDeadline, m.ioDeadline(wait))
 		}
 		msg, err := ReadMsgCodec(l.rd, &l.dec)
 		if err != nil {
@@ -673,70 +677,29 @@ func (m *Master) recvC(w int, ch matrix.Chunk, promote bool) ([]*matrix.Block, e
 	}
 }
 
-// Run executes plan against the connected workers: C ← C + A·B. It is the
-// networked twin of engine.Run — same executor, same failover, different
-// transport. Workers that die mid-run have their outstanding chunks replayed
-// on the survivors.
+// Execute runs plan against the connected workers through engine.Execute
+// under opts (nil for plain dispatch): C ← C + A·B, with the same
+// executor, failover, adaptivity and k-of-n gate as the in-process engine —
+// only the transport differs. Workers that die mid-run have their chunks
+// re-queued on the survivors; workers joined mid-run with AddWorker (their
+// indices delivered on opts.Join) are folded into a tracked run; laggard
+// redundant units are wire-cancelled through CancelUnit's handshake.
 //
-// Run cannot be interrupted; library callers should prefer RunContext (or
-// the matmul facade).
-func (m *Master) Run(t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
-	return m.RunContext(context.Background(), t, plan, a, b, c)
-}
-
-// RunContext is Run under a context: every blocking send and receive
-// finishes by the earlier of ctx's deadline and IOTimeout, and cancelling
-// ctx interrupts in-flight socket I/O immediately (the links are slammed
-// with an already-expired deadline), failing the run with an error wrapping
+// Every blocking send and receive finishes by the earlier of ctx's deadline
+// and IOTimeout, and cancelling ctx interrupts in-flight socket I/O
+// immediately (the links, mid-run joiners included, are slammed with an
+// already-expired deadline), failing the run with an error wrapping
 // ctx.Err(). After an aborted run the worker sessions are tainted — discard
 // them (Close / a failed-lease Return), do not pool them.
-func (m *Master) RunContext(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
+func (m *Master) Execute(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, opts *engine.Options) error {
 	defer m.runContext(ctx)()
-	return engine.ExecuteContext(ctx, t, plan, a, b, c, m)
+	return engine.Execute(ctx, t, plan, a, b, c, m, opts)
 }
 
-// RunPipelined executes plan with the concurrent executor: one dispatch
-// goroutine per worker link, so every worker's socket stays fed while other
-// workers compute or return results. C is bitwise-identical to Run's. With
-// MasterOptions.OnePort the outbound frames are still serialized through the
-// master's single send port.
-//
-// RunPipelined cannot be interrupted; library callers should prefer
-// RunPipelinedContext (or the matmul facade).
-func (m *Master) RunPipelined(t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
-	return m.RunPipelinedContext(context.Background(), t, plan, a, b, c)
-}
-
-// RunPipelinedContext is RunPipelined under a context, with RunContext's
-// cancellation semantics.
-func (m *Master) RunPipelinedContext(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
-	defer m.runContext(ctx)()
-	return engine.ExecutePipelinedContext(ctx, t, plan, a, b, c, m)
-}
-
-// RunRedundantContext executes plan with the k-of-n redundancy gate (see
-// engine.ExecuteRedundantContext): each chunk may be dispatched to several
-// workers, the first result wins, laggard units are wire-cancelled through
-// CancelUnit's handshake, and parity units (red's coded mode) let decode
-// stand in for a straggler's missing results. C is bitwise-identical to
-// Run's whenever the systematic results complete. Cancellation semantics
-// match RunContext.
-func (m *Master) RunRedundantContext(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, red *engine.Redundancy) error {
-	defer m.runContext(ctx)()
-	return engine.ExecuteRedundantContext(ctx, t, plan, a, b, c, m, red)
-}
-
-// RunElasticContext executes plan with the adaptive executor (see
-// engine.ExecuteElasticContext): transfers and computes feed el.Tracker's
-// live estimates, dead workers' chunks are re-planned onto the survivors,
-// drift past el.DriftThreshold rebalances the un-dispatched remainder, and
-// workers joined mid-run with AddWorker (their indices delivered on
-// el.Join) are folded into the running job. C is bitwise-identical to Run's
-// under every membership change. Cancellation semantics match RunContext —
-// connections joined mid-run are interrupted too.
+// RunElasticContext forwards to Execute. It is kept only for
+// svcbench/traced.go, which still calls it by this name.
 func (m *Master) RunElasticContext(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, el *engine.Elastic) error {
-	defer m.runContext(ctx)()
-	return engine.ExecuteElasticContext(ctx, t, plan, a, b, c, m, el)
+	return m.Execute(ctx, t, plan, a, b, c, el)
 }
 
 // runBinding is one in-flight run's cancellation fan-out set: the

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/platform"
@@ -74,7 +75,7 @@ func TestLoopbackMatchesEngineBitwise(t *testing.T) {
 		a, b, cNet, want := testMatrices(t, inst, q, 21)
 		_, _, cEng, _ := testMatrices(t, inst, q, 21)
 
-		if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng); err != nil {
+		if err := engine.Run(context.Background(), engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng, nil); err != nil {
 			t.Fatalf("%s: engine: %v", s.Name(), err)
 		}
 
@@ -83,7 +84,7 @@ func TestLoopbackMatchesEngineBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: dial: %v", s.Name(), err)
 		}
-		if err := m.Run(inst.T, plan, a, b, cNet); err != nil {
+		if err := m.Execute(context.Background(), inst.T, plan, a, b, cNet, nil); err != nil {
 			t.Fatalf("%s: distributed run: %v", s.Name(), err)
 		}
 		if err := m.Shutdown(); err != nil {
@@ -100,10 +101,10 @@ func TestLoopbackMatchesEngineBitwise(t *testing.T) {
 }
 
 // TestPipelinedLoopbackMatchesEngineBitwise runs the same plan through the
-// sequential in-process engine and through the concurrent executor over TCP
-// loopback (with the one-port send gate on, for good measure) and demands
-// bitwise-identical C: per-worker dispatch goroutines change only when
-// transfers happen, never the per-chunk arithmetic order.
+// in-process engine and over TCP loopback with the one-port send gate on and
+// multicore worker kernels, and demands bitwise-identical C: the gate and
+// the worker-side parallelism change only when transfers and updates
+// happen, never the per-chunk arithmetic order.
 func TestPipelinedLoopbackMatchesEngineBitwise(t *testing.T) {
 	pl := platform.MustNew(
 		platform.Worker{C: 1, W: 1, M: 40},
@@ -122,7 +123,7 @@ func TestPipelinedLoopbackMatchesEngineBitwise(t *testing.T) {
 		a, b, cNet, want := testMatrices(t, inst, q, 63)
 		_, _, cEng, _ := testMatrices(t, inst, q, 63)
 
-		if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng); err != nil {
+		if err := engine.Run(context.Background(), engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, cEng, nil); err != nil {
 			t.Fatalf("%s: engine: %v", s.Name(), err)
 		}
 
@@ -134,28 +135,29 @@ func TestPipelinedLoopbackMatchesEngineBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: dial: %v", s.Name(), err)
 		}
-		if err := m.RunPipelined(inst.T, plan, a, b, cNet); err != nil {
-			t.Fatalf("%s: pipelined distributed run: %v", s.Name(), err)
+		if err := m.Execute(context.Background(), inst.T, plan, a, b, cNet, nil); err != nil {
+			t.Fatalf("%s: one-port distributed run: %v", s.Name(), err)
 		}
 		if err := m.Shutdown(); err != nil {
 			t.Errorf("%s: shutdown: %v", s.Name(), err)
 		}
 
 		if d := cNet.MaxAbsDiff(cEng); d != 0 {
-			t.Errorf("%s: pipelined distributed C differs from in-process C by %g (want bitwise equal)", s.Name(), d)
+			t.Errorf("%s: one-port distributed C differs from in-process C by %g (want bitwise equal)", s.Name(), d)
 		}
 		if d := cNet.MaxAbsDiff(want); d > 1e-9 {
-			t.Errorf("%s: pipelined distributed C differs from serial reference by %g", s.Name(), d)
+			t.Errorf("%s: one-port distributed C differs from serial reference by %g", s.Name(), d)
 		}
 	}
 }
 
 // TestPipelinedWorkerCrashFailover kills a loopback TCP worker mid-pipeline
 // (abrupt connection close after a few installments, while the other
-// dispatch goroutines are in full flight) and checks the concurrent
-// executor's parallel replay waves still produce the serial product. CI runs
-// this under -race, which is the real point: worker death exercises the
-// retire/orphan/replay paths concurrently with healthy dispatch goroutines.
+// dispatch goroutines are in full flight) under a tracked run, so the dead
+// worker's jobs are re-planned onto the survivors by their live estimates,
+// and checks C is still the serial product bitwise. CI runs this under
+// -race, which is the real point: worker death exercises the retire and
+// re-plan paths concurrently with healthy dispatch goroutines.
 func TestPipelinedWorkerCrashFailover(t *testing.T) {
 	pl := platform.Homogeneous(3, 1, 1, 40)
 	inst := sched.Instance{R: 6, S: 9, T: 4}
@@ -177,14 +179,15 @@ func TestPipelinedWorkerCrashFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("victim %d: dial: %v", victim, err)
 		}
-		if err := m.RunPipelined(inst.T, res.Plan(), a, b, c); err != nil {
-			t.Fatalf("victim %d: pipelined run did not survive the crash: %v", victim, err)
+		opts := &engine.Options{Tracker: adapt.NewTracker(pl.Workers, time.Microsecond, 0)}
+		if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, c, opts); err != nil {
+			t.Fatalf("victim %d: tracked run did not survive the crash: %v", victim, err)
 		}
 		if err := m.Shutdown(); err != nil {
 			t.Logf("victim %d: shutdown: %v (expected: one link is dead)", victim, err)
 		}
-		if d := c.MaxAbsDiff(want); d > 1e-9 {
-			t.Errorf("victim %d: C wrong by %g after pipelined failover", victim, d)
+		if !c.Equal(want, 0) {
+			t.Errorf("victim %d: C wrong by %g after tracked failover", victim, c.MaxAbsDiff(want))
 		}
 	}
 }
@@ -213,7 +216,7 @@ func TestWorkerCrashFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("victim %d: dial: %v", victim, err)
 		}
-		if err := m.Run(inst.T, res.Plan(), a, b, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, c, nil); err != nil {
 			t.Fatalf("victim %d: run did not survive the crash: %v", victim, err)
 		}
 		if err := m.Shutdown(); err != nil {
@@ -249,7 +252,7 @@ func TestWorkerKillMidRunViaConnDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(inst.T, res.Plan(), a, b, c); err != nil {
+	if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, c, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	m.Shutdown()
@@ -289,7 +292,7 @@ func TestIdleClientCannotWedgeWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, c, want := testMatrices(t, inst, 2, 53)
-	if err := m.Run(inst.T, res.Plan(), a, b, c); err != nil {
+	if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, c, nil); err != nil {
 		t.Fatalf("run after mute client: %v", err)
 	}
 	m.Shutdown()
@@ -336,7 +339,7 @@ func TestMasterReleaseWorkerReregisters(t *testing.T) {
 			t.Fatalf("round %d: dial after release: %v", round, err)
 		}
 		a, b, c, want := testMatrices(t, inst, 3, int64(90+round))
-		if err := m.RunPipelined(inst.T, res.Plan(), a, b, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, c, nil); err != nil {
 			t.Fatalf("round %d: run: %v", round, err)
 		}
 		if err := m.Release(); err != nil {
@@ -401,7 +404,7 @@ func TestMasterReuseAcrossJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, b, c, want := testMatrices(t, inst, 3, int64(101+i))
-		if err := m.RunPipelined(inst.T, res.Plan(), a, b, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, c, nil); err != nil {
 			t.Fatalf("job %d on reused master: %v", i, err)
 		}
 		if d := c.MaxAbsDiff(want); d > 1e-9 {
@@ -448,7 +451,7 @@ func TestDetachedConnSurvivesIdleAndReruns(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, c, want := testMatrices(t, inst, 3, 113)
-	if err := m.RunPipelined(inst.T, res.Plan(), a, b, c); err != nil {
+	if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, c, nil); err != nil {
 		t.Fatalf("run on kept-alive conn: %v", err)
 	}
 	if d := c.MaxAbsDiff(want); d > 1e-9 {
@@ -466,10 +469,10 @@ func TestDetachedConnSurvivesIdleAndReruns(t *testing.T) {
 // TestRunContextCancelPromptOnStalledWorker: a worker that stalls mid-job
 // (heartbeats flowing, no result — the case neither IOTimeout nor the crash
 // failover ends early) blocks RecvC for the whole stall. Cancelling the run
-// context must interrupt the parked socket read immediately, for both
-// executors, and surface context.Canceled.
+// context must interrupt the parked socket read immediately, with or without
+// estimate tracking, and surface context.Canceled.
 func TestRunContextCancelPromptOnStalledWorker(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
+	for _, tracked := range []bool{false, true} {
 		addrs := startWorkers(t, 2, func(i int) WorkerOptions {
 			o := WorkerOptions{Heartbeat: 50 * time.Millisecond}
 			if i == 0 {
@@ -491,27 +494,39 @@ func TestRunContextCancelPromptOnStalledWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
+		var opts *engine.Options
+		if tracked {
+			opts = &engine.Options{Tracker: adapt.NewTracker(pl.Workers, time.Microsecond, 0)}
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(300 * time.Millisecond) // let the stalled worker reach its stall
 			cancel()
 		}()
 		start := time.Now()
-		if pipelined {
-			err = m.RunPipelinedContext(ctx, inst.T, res.Plan(), a, b, c)
-		} else {
-			err = m.RunContext(ctx, inst.T, res.Plan(), a, b, c)
-		}
+		err = m.Execute(ctx, inst.T, res.Plan(), a, b, c, opts)
 		elapsed := time.Since(start)
 		if err == nil {
-			t.Fatalf("pipelined=%v: cancelled distributed run returned nil", pipelined)
+			t.Fatalf("tracked=%v: cancelled distributed run returned nil", tracked)
 		}
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("pipelined=%v: cancelled run returned %v, want context.Canceled in the chain", pipelined, err)
+			t.Fatalf("tracked=%v: cancelled run returned %v, want context.Canceled in the chain", tracked, err)
 		}
 		if elapsed > 5*time.Second {
-			t.Fatalf("pipelined=%v: cancelled run took %v, want prompt return", pipelined, elapsed)
+			t.Fatalf("tracked=%v: cancelled run took %v, want prompt return", tracked, elapsed)
 		}
+	}
+}
+
+// TestDeadlineWithinCancelledContext: once a run's context is cancelled,
+// every deadline the master arms must already be expired. A heartbeat
+// iteration or a send that re-arms now+IOTimeout after the cancel's
+// interrupt would otherwise park the I/O until the stall ends.
+func TestDeadlineWithinCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if dl := deadlineWithin(ctx, time.Hour); dl.After(time.Now()) {
+		t.Fatalf("deadline on a cancelled context is %v in the future", time.Until(dl))
 	}
 }
 

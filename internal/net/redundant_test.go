@@ -21,9 +21,13 @@ import (
 func TestRedundantLoopbackAbsorbsStalledWorker(t *testing.T) {
 	const stallFor = 30 * time.Second
 	addrs := startWorkers(t, 3, func(i int) WorkerOptions {
-		o := WorkerOptions{Heartbeat: 50 * time.Millisecond}
+		// The healthy workers pause briefly at their first installment, so
+		// no job can commit before the straggler has received its own first
+		// installment and stalled. Otherwise a scheduler-starved dispatch
+		// goroutine can let them finish the whole product first, leaving
+		// nothing to absorb.
+		o := WorkerOptions{Heartbeat: 50 * time.Millisecond, StallAfterInstalls: 1, StallFor: 150 * time.Millisecond}
 		if i == 0 {
-			o.StallAfterInstalls = 1
 			o.StallFor = stallFor
 		}
 		return o
@@ -46,7 +50,7 @@ func TestRedundantLoopbackAbsorbsStalledWorker(t *testing.T) {
 
 	a, b, c, want := testMatrices(t, inst, 4, 91)
 	_, _, base, _ := testMatrices(t, inst, 4, 91)
-	if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T, Pipelined: true}, plan, a, b, base); err != nil {
+	if err := engine.Run(context.Background(), engine.Config{Workers: pl.P(), T: inst.T}, plan, a, b, base, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,7 +65,7 @@ func TestRedundantLoopbackAbsorbsStalledWorker(t *testing.T) {
 	}
 	defer m.Close()
 	start := time.Now()
-	if err := m.RunRedundantContext(context.Background(), inst.T, plan, a, b, c, red); err != nil {
+	if err := m.Execute(context.Background(), inst.T, plan, a, b, c, &engine.Options{Redundancy: red}); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -122,7 +126,7 @@ func TestRedundantLoopbackCancelKeepsHealthyLink(t *testing.T) {
 		for ji, j := range jobs {
 			red.Units = append(red.Units, engine.RedundantUnit{Worker: (j.Worker + 1) % pl.P(), Job: ji})
 		}
-		if err := m.RunRedundantContext(context.Background(), inst.T, plan, a, b, c, red); err != nil {
+		if err := m.Execute(context.Background(), inst.T, plan, a, b, c, &engine.Options{Redundancy: red}); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if d := c.MaxAbsDiff(want); d > 1e-9 {

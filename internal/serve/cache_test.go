@@ -6,25 +6,17 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/engine"
 	"repro/internal/matrix"
 	mmnet "repro/internal/net"
 	"repro/internal/platform"
 	"repro/internal/sched"
 )
 
-// oracleC runs the in-process engine over clones and returns the bitwise
-// reference C for C += A·B.
+// oracleC returns the bitwise reference C for C += A·B, the serial product.
 func oracleC(t *testing.T, a, b, c *matrix.BlockMatrix) *matrix.BlockMatrix {
 	t.Helper()
-	inst := sched.Instance{R: c.Rows, S: c.Cols, T: a.Cols}
-	pl := platform.Homogeneous(2, 1, 1, 40)
-	res, err := sched.Het{}.Schedule(pl, inst)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := c.Clone()
-	if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, res.Plan(), a.Clone(), b.Clone(), want); err != nil {
+	if err := matrix.Multiply(want, a, b); err != nil {
 		t.Fatal(err)
 	}
 	return want
@@ -82,7 +74,7 @@ func TestSelectResourcesAffinityBias(t *testing.T) {
 // shared A, fresh B per job) through a caching server: after the seeding
 // job, residency must save A bytes on every later lease, the service
 // snapshot must surface the savings, and every C stays bitwise-equal to the
-// in-process engine.
+// serial reference.
 func TestServerCacheAffinitySavesBytes(t *testing.T) {
 	addrs := startWorkers(t, 4, func(i int) mmnet.WorkerOptions {
 		return mmnet.WorkerOptions{Heartbeat: 50 * time.Millisecond, Cache: cache.NewPanelCache(0)}

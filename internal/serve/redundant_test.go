@@ -34,12 +34,14 @@ func TestDaemonRedundancyStatsAndTrace(t *testing.T) {
 
 	inst := sched.Instance{R: 5, S: 7, T: 3}
 	a, b, c, want := testMatrices(t, inst, 8, 700)
-	got, id, err := SubmitProduct(daemon, a, b, c, 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := got.MaxAbsDiff(want); d != 0 {
-		t.Errorf("C differs from in-process engine by %g (want bitwise equal: replicated mode commits only systematic results)", d)
+		t.Errorf("C differs from the serial reference by %g (want bitwise equal: replicated mode commits only systematic results)", d)
 	}
 
 	st, err := FetchStats(daemon, 5*time.Second)
@@ -66,16 +68,16 @@ func TestDaemonRedundancyStatsAndTrace(t *testing.T) {
 		t.Fatalf("job %d missing from daemon stats", id)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	tr, err := FetchTraceContext(ctx, daemon, id)
+	fctx, fcancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer fcancel()
+	tr, err := FetchTraceContext(fctx, daemon, id)
 	if err != nil {
 		t.Fatalf("trace fetch: %v", err)
 	}
 	if len(tr.Transfers) == 0 {
 		t.Error("fetched trace has no transfers")
 	}
-	if _, err := FetchTraceContext(ctx, daemon, id+999); err == nil {
+	if _, err := FetchTraceContext(fctx, daemon, id+999); err == nil {
 		t.Error("trace fetch for unknown job succeeded")
 	}
 }
@@ -103,7 +105,9 @@ func TestDaemonRedundancyAutoFactor(t *testing.T) {
 
 	inst := sched.Instance{R: 5, S: 7, T: 3}
 	a, b, c, want := testMatrices(t, inst, 8, 701)
-	got, id, err := SubmitProduct(daemon, a, b, c, 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +132,11 @@ func TestDaemonRedundancyAutoFactor(t *testing.T) {
 func TestDaemonRedundancyAbsorbsStalledWorker(t *testing.T) {
 	const stallFor = 30 * time.Second
 	addrs := startWorkers(t, 3, func(i int) mmnet.WorkerOptions {
-		o := mmnet.WorkerOptions{Heartbeat: 50 * time.Millisecond}
+		// The healthy workers pause briefly at their first installment, so
+		// no job can commit before the straggler has stalled (see the net
+		// package's TestRedundantLoopbackAbsorbsStalledWorker).
+		o := mmnet.WorkerOptions{Heartbeat: 50 * time.Millisecond, StallAfterInstalls: 1, StallFor: 150 * time.Millisecond}
 		if i == 0 {
-			o.StallAfterInstalls = 1
 			o.StallFor = stallFor
 		}
 		return o
@@ -154,7 +160,9 @@ func TestDaemonRedundancyAbsorbsStalledWorker(t *testing.T) {
 	inst := sched.Instance{R: 5, S: 7, T: 3}
 	a, b, c, want := testMatrices(t, inst, 8, 702)
 	start := time.Now()
-	got, id, err := SubmitProduct(daemon, a, b, c, 60*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +170,7 @@ func TestDaemonRedundancyAbsorbsStalledWorker(t *testing.T) {
 		t.Fatalf("redundant lease took %v; the straggler was waited out instead of absorbed", elapsed)
 	}
 	if d := got.MaxAbsDiff(want); d != 0 {
-		t.Errorf("C differs from in-process engine by %g (want bitwise equal)", d)
+		t.Errorf("C differs from the serial reference by %g (want bitwise equal)", d)
 	}
 	st, err := FetchStats(daemon, 5*time.Second)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/matrix"
 	mmnet "repro/internal/net"
 	"repro/internal/platform"
@@ -36,7 +35,7 @@ func startWorkers(t *testing.T, n int, opts func(i int) mmnet.WorkerOptions) []s
 	return addrs
 }
 
-// testMatrices builds random A, B, C plus the in-process engine's C — the
+// testMatrices builds random A, B, C plus the serial product's C — the
 // bitwise oracle. Every plan updates each C block through the same
 // ascending-k MulAdd sequence, so any correct execution of the product is
 // bitwise-identical to any other, whatever subset was selected.
@@ -50,14 +49,8 @@ func testMatrices(t *testing.T, inst sched.Instance, q int, seed int64) (a, b, c
 	b.FillRandom(rng)
 	c.FillRandom(rng)
 
-	pl := platform.Homogeneous(2, 1, 1, 40)
-	res, err := sched.Het{}.Schedule(pl, inst)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want = c.Clone()
-	aa, bb := a.Clone(), b.Clone()
-	if err := engine.Run(engine.Config{Workers: pl.P(), T: inst.T}, res.Plan(), aa, bb, want); err != nil {
+	if err := matrix.Multiply(want, a, b); err != nil {
 		t.Fatal(err)
 	}
 	return a, b, c, want
@@ -137,7 +130,7 @@ func TestFleetLeaseReturnReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, b, c, want := testMatrices(t, inst, 4, int64(200+round))
-		if err := m.RunPipelined(inst.T, sel.Plan, a, b, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, sel.Plan, a, b, c, nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		f.Return(sel.Workers, m, false)
@@ -198,7 +191,7 @@ func TestReturnFailedRecyclesSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, c, want := testMatrices(t, inst, 3, 601)
-	if err := m2.RunPipelined(inst.T, sel.Plan, a, b, c); err != nil {
+	if err := m2.Execute(context.Background(), inst.T, sel.Plan, a, b, c, nil); err != nil {
 		t.Fatalf("run on recycled sessions: %v", err)
 	}
 	f.Return(sel.Workers, m2, false)
@@ -209,7 +202,7 @@ func TestReturnFailedRecyclesSessions(t *testing.T) {
 
 // TestServerConcurrentJobsDisjointLeases submits two products to a 4-worker
 // fleet and checks they run concurrently on disjoint leased subsets, each C
-// bitwise-equal to the in-process engine.
+// bitwise-equal to the serial reference.
 func TestServerConcurrentJobsDisjointLeases(t *testing.T) {
 	addrs := startWorkers(t, 4, nil)
 	f, err := NewFleet(addrs, homSpecs(4), FleetOptions{})
@@ -281,10 +274,10 @@ func TestServerConcurrentJobsDisjointLeases(t *testing.T) {
 	}
 
 	if d := c1.MaxAbsDiff(want1); d != 0 {
-		t.Errorf("job 1 C differs from in-process engine by %g (want bitwise equal)", d)
+		t.Errorf("job 1 C differs from the serial reference by %g (want bitwise equal)", d)
 	}
 	if d := c2.MaxAbsDiff(want2); d != 0 {
-		t.Errorf("job 2 C differs from in-process engine by %g (want bitwise equal)", d)
+		t.Errorf("job 2 C differs from the serial reference by %g (want bitwise equal)", d)
 	}
 }
 
@@ -417,7 +410,9 @@ func TestClientProtocolLoopback(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		a, b, c, want := testMatrices(t, inst, 8, int64(500+i))
 		go func() {
-			got, _, err := SubmitProduct(daemon, a, b, c, 30*time.Second)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			got, _, err := SubmitProductContext(ctx, daemon, a, b, c)
 			results <- result{c: got, want: want, err: err}
 		}()
 	}
@@ -427,7 +422,7 @@ func TestClientProtocolLoopback(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, r.err)
 		}
 		if d := r.c.MaxAbsDiff(r.want); d != 0 {
-			t.Errorf("submit %d: C differs from in-process engine by %g (want bitwise equal)", i, d)
+			t.Errorf("submit %d: C differs from the serial reference by %g (want bitwise equal)", i, d)
 		}
 	}
 

@@ -69,22 +69,20 @@ type Config struct {
 	// per-worker throughput estimates (EWMA over observed transfers and
 	// computes, seeded from the declared specs), resource selection
 	// shortlists by *measured* speed instead of declared speed, each lease
-	// runs through the adaptive executor (mid-job re-planning on departures
-	// and estimate drift), and idle workers — including ones registered
-	// after startup via Fleet.Add — are attached to running jobs whenever no
-	// queued job is waiting for them.
+	// runs with the executor's estimate tracking (mid-job re-planning on
+	// departures, joins and estimate drift), and idle workers — including
+	// ones registered after startup via Fleet.Add — are attached to running
+	// jobs whenever no queued job is waiting for them.
 	Adaptive bool
 	// DriftThreshold is the relative estimate movement that re-plans a
-	// running lease (see engine.Elastic). 0: engine default; negative:
+	// running lease (see engine.Options). 0: engine default; negative:
 	// drift re-planning off. Only meaningful with Adaptive.
 	DriftThreshold float64
 	// Redundancy turns on proactive straggler mitigation: every lease runs
 	// under the engine's k-of-n completion gate with the named coded mode
-	// ("replicated" or "coded"; empty or "off" keeps it off). Redundant
-	// leases use the gate executor instead of the elastic one — the gate's
-	// speculation subsumes failover, and adapt estimates still price the
-	// redundancy placement — so mid-run estimate re-planning is traded for
-	// tail-latency cover.
+	// ("replicated" or "coded"; empty or "off" keeps it off). With Adaptive
+	// the live estimates price the redundancy placement, and the lease keeps
+	// its estimate tracking and re-planning under the gate.
 	Redundancy string
 	// RedundancyFactor is the redundancy factor r handed to the planner
 	// (replicas fleet-wide, parities per group). ≤ 0 asks the adapt estimates
@@ -282,7 +280,7 @@ const maxJobHistory = 4096
 // Server admits products into a queue and runs them on disjoint leased
 // subsets of a persistent fleet, concurrently. It is the paper's
 // master-process role stretched across many products: resource selection per
-// job, execution through the shared pipelined executor, failover within each
+// job, execution through the shared engine executor, failover within each
 // lease.
 type Server struct {
 	fleet *Fleet
@@ -319,7 +317,9 @@ type Server struct {
 	running int
 	closed  bool
 	wake    chan struct{}
-	loop    sync.WaitGroup
+	// loop counts the admission loop and every lease's run goroutine, so
+	// Close returns only once the last run has finished logging.
+	loop sync.WaitGroup
 }
 
 // trackerUnit is the nominal wall-clock length of one declared model time
@@ -862,6 +862,7 @@ func (s *Server) dispatchOne() bool {
 	s.log.Info("job running",
 		"job", j.id, "lease", fmt.Sprint(sel.Workers),
 		"algorithm", sel.Algorithm, "makespan", sel.Makespan)
+	s.loop.Add(1)
 	go s.run(j, m)
 	return true
 }
@@ -964,6 +965,7 @@ func (s *Server) attach(j *job, i int) {
 // returned as failed (its sessions recycled, workers re-dialed — never
 // pooled holding half a job), and no other lease feels a thing.
 func (s *Server) run(j *job, m *mmnet.Master) {
+	defer s.loop.Done()
 	var err error
 	if j.panels != nil {
 		// Open the lease's cache epoch: handshake every link for the job's
@@ -982,44 +984,36 @@ func (s *Server) run(j *job, m *mmnet.Master) {
 	ctx := j.ctx
 	rec := trace.NewRecorder(j.sel.Algorithm)
 	ctx = trace.NewContext(ctx, rec)
+	opts := &engine.Options{Join: j.join, DriftThreshold: s.cfg.DriftThreshold}
+	if j.view != nil { // a nil *adapt.View must not become a non-nil Tracker
+		opts.Tracker = j.view
+		opts.OnReplan = func(reason string, pending int) {
+			j.replans.Add(1)
+			mReplans.Inc()
+			s.log.Info("job re-planned", "job", j.id, "reason", reason, "redistributed", pending)
+		}
+	}
+	// Redundant leases add the k-of-n gate: speculation and wire-cancel
+	// absorb stragglers, and the live estimates price the placement.
 	mode, _ := coded.ParseMode(s.cfg.Redundancy)
-	switch {
-	case mode != coded.ModeOff:
-		// Redundant lease: the k-of-n gate arbitrates completion. Placement is
-		// priced by the live estimates when the server is adaptive; the gate's
-		// speculation and wire-cancel replace elastic re-planning.
-		var red *engine.Redundancy
-		red, err = s.planRedundancy(j, m, mode)
-		if err == nil {
-			err = m.RunRedundantContext(ctx, j.inst.T, j.sel.Plan, j.a, j.b, j.c, red)
+	if mode != coded.ModeOff {
+		opts.Redundancy, err = s.planRedundancy(j, m, mode)
+	}
+	if err == nil {
+		err = m.Execute(ctx, j.inst.T, j.sel.Plan, j.a, j.b, j.c, opts)
+	}
+	if red := opts.Redundancy; red != nil {
+		st := red.Stats()
+		j.redStats = &RedundancyStats{
+			Mode: string(mode), Units: st.Units, DuplicateWins: st.DuplicateWins,
+			WastedBytes: st.WastedBytes, Decodes: st.Decodes,
+			Absorbed: st.Absorbed, Speculative: st.Speculative,
 		}
-		if red != nil {
-			st := red.Stats()
-			j.redStats = &RedundancyStats{
-				Mode: string(mode), Units: st.Units, DuplicateWins: st.DuplicateWins,
-				WastedBytes: st.WastedBytes, Decodes: st.Decodes,
-				Absorbed: st.Absorbed, Speculative: st.Speculative,
-			}
-			mRedUnits.Add(st.Units)
-			mRedDuplicateWins.Add(st.DuplicateWins)
-			mRedWastedBytes.Add(st.WastedBytes)
-			mRedDecodes.Add(st.Decodes)
-			mRedAbsorbed.Add(st.Absorbed)
-		}
-	case j.view != nil:
-		el := &engine.Elastic{
-			Tracker:        j.view,
-			Join:           j.join,
-			DriftThreshold: s.cfg.DriftThreshold,
-			OnReplan: func(reason string, pending int) {
-				j.replans.Add(1)
-				mReplans.Inc()
-				s.log.Info("job re-planned", "job", j.id, "reason", reason, "redistributed", pending)
-			},
-		}
-		err = m.RunElasticContext(ctx, j.inst.T, j.sel.Plan, j.a, j.b, j.c, el)
-	default:
-		err = m.RunPipelinedContext(ctx, j.inst.T, j.sel.Plan, j.a, j.b, j.c)
+		mRedUnits.Add(st.Units)
+		mRedDuplicateWins.Add(st.DuplicateWins)
+		mRedWastedBytes.Add(st.WastedBytes)
+		mRedDecodes.Add(st.Decodes)
+		mRedAbsorbed.Add(st.Absorbed)
 	}
 	j.trace = rec.Trace()
 	if s.cfg.TraceDir != "" {

@@ -91,7 +91,6 @@ type config struct {
 	rt          Runtime
 	scheduler   sched.Scheduler
 	algorithm   string
-	pipelined   bool
 	onePort     bool
 	procs       int
 	platform    *platform.Platform
@@ -105,7 +104,7 @@ type config struct {
 
 	// explicit-set markers, so runtimes can reject options that do not apply
 	// to them instead of silently ignoring them.
-	setAlgorithm, setPipelined, setOnePort, setProcs, setPlatform, setPacing, setShutdown, setAdaptive, setPanelCache, setRedundancy bool
+	setAlgorithm, setOnePort, setProcs, setPlatform, setPacing, setShutdown, setAdaptive, setPanelCache, setRedundancy bool
 }
 
 // redundant reports whether this session's jobs run through the k-of-n gate.
@@ -136,16 +135,6 @@ func WithAlgorithm(name string) Option {
 			return fmt.Errorf("matmul: unknown algorithm %q (have %s)", name, strings.Join(Algorithms(), ", "))
 		}
 		c.scheduler, c.algorithm, c.setAlgorithm = s, name, true
-		return nil
-	}
-}
-
-// WithPipelined selects between the concurrent per-worker executor (true,
-// the default) and the strictly sequential op loop. C is bitwise-identical
-// either way.
-func WithPipelined(on bool) Option {
-	return func(c *config) error {
-		c.pipelined, c.setPipelined = on, true
 		return nil
 	}
 }
@@ -213,10 +202,10 @@ func WithWorkerShutdown() Option {
 // WithAdaptive turns on the adaptive (elastic) runtime for InProcess and
 // Distributed sessions: the session maintains live per-worker throughput
 // estimates (EWMA over every observed transfer and compute, seeded from the
-// declared platform), jobs run through the elastic executor — un-dispatched
-// chunks are re-planned onto the live estimates whenever a worker departs,
-// a worker joins (Session.AddWorker, Distributed only), or an estimate
-// drifts past the threshold — and Session.Stats exposes the estimates. The
+// declared platform), the executor re-plans each job's queued chunks onto
+// the live estimates whenever a worker departs, a worker joins
+// (Session.AddWorker, Distributed only), or an estimate drifts past the
+// threshold — and Session.Stats exposes the estimates. The
 // computed C stays bitwise-identical under every re-plan. drift sets the
 // re-plan threshold as a relative estimate change; 0 selects the engine
 // default (0.5), negative disables drift re-planning while keeping
@@ -264,10 +253,9 @@ func WithPanelCache(on bool) Option {
 //   - "off" disables (the default).
 //
 // r ≤ 0 defaults to 1. On an adaptive session (WithAdaptive) the measured
-// estimates price redundant placement; the gate executor subsumes the
-// elastic one for redundant jobs, so drift re-planning is idle while they
-// run. A Remote session rejects this option: redundancy lives daemon-side
-// there (mmserve -redundancy).
+// estimates price redundant placement and keep re-planning the job while
+// the gate runs it. A Remote session rejects this option: redundancy lives
+// daemon-side there (mmserve -redundancy).
 func WithRedundancy(mode string, r int) Option {
 	return func(c *config) error {
 		m, err := coded.ParseMode(mode)
@@ -311,24 +299,12 @@ func Open(ctx context.Context, opts ...Option) (*Session, error) {
 		rt:         InProcess(),
 		scheduler:  sched.Het{},
 		algorithm:  "Het",
-		pipelined:  true,
 		panelCache: true,
 	}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.adaptive && cfg.setPipelined && !cfg.pipelined {
-		// The elastic executor is inherently concurrent; honoring a request
-		// for the strictly sequential op loop would silently drop one of the
-		// two options.
-		return nil, fmt.Errorf("matmul: WithAdaptive requires the concurrent executor; drop WithPipelined(false)")
-	}
-	if cfg.redundant() && cfg.setPipelined && !cfg.pipelined {
-		// The k-of-n gate races concurrent units; the sequential op loop has
-		// nothing to race.
-		return nil, fmt.Errorf("matmul: WithRedundancy requires the concurrent executor; drop WithPipelined(false)")
 	}
 	rts, err := cfg.rt.open(ctx, &cfg)
 	if err != nil {
@@ -536,7 +512,7 @@ func (s *Session) Stats() (SessionStats, error) {
 // Open — the elastic half of fleet membership. The worker becomes part of
 // the session's platform for every subsequent job, and on an adaptive
 // session (WithAdaptive) it is also folded into the job currently running:
-// the elastic executor re-plans un-dispatched chunks onto it. spec is the
+// the executor re-plans the job's queued chunks onto it. spec is the
 // worker's declared platform description (at most one; default c=1, w=1,
 // m=60). Returns the new worker's index.
 //

@@ -29,18 +29,12 @@ func seeded(t *testing.T, r, s, tt, q int, seed int64) (a, b, c *Matrix) {
 	return
 }
 
-// engineReference computes the same product through the pre-redesign entry
-// point (engine.Run over a scheduled plan) — the bitwise oracle every
-// facade runtime must match.
+// engineReference computes the same product serially (Multiply) — the
+// bitwise oracle every facade runtime must match.
 func engineReference(t *testing.T, r, s, tt, q int, seed int64) *Matrix {
 	t.Helper()
 	a, b, c := seeded(t, r, s, tt, q, seed)
-	pl := platform.Homogeneous(2, 1, 1, 60)
-	res, err := sched.Het{}.Schedule(pl, sched.Instance{R: r, S: s, T: tt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := engine.Run(engine.Config{Workers: pl.P(), T: tt}, res.Plan(), a, b, c); err != nil {
+	if err := Multiply(c, a, b); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -132,7 +126,7 @@ func TestSessionAllRuntimesBitwiseIdentical(t *testing.T) {
 }
 
 // TestSessionOptionsMatchDirectEngine drives the option surface (algorithm,
-// platform, pacing, one-port, procs, sequential executor) and checks the
+// platform, pacing, one-port, procs) and checks the
 // result still matches a direct engine.Run with the same knobs bitwise.
 func TestSessionOptionsMatchDirectEngine(t *testing.T) {
 	const r, s, tt, q, seed = 5, 7, 3, 4, 7
@@ -147,9 +141,9 @@ func TestSessionOptionsMatchDirectEngine(t *testing.T) {
 	a, b, want := seeded(t, r, s, tt, q, seed)
 	cfg := engine.Config{
 		Workers: pl.P(), T: tt, Platform: pl, TimePerUnit: time.Microsecond,
-		Pipelined: true, OnePort: true, Procs: 2,
+		OnePort: true, Procs: 2,
 	}
-	if err := engine.Run(cfg, res.Plan(), a, b, want); err != nil {
+	if err := engine.Run(context.Background(), cfg, res.Plan(), a, b, want, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -159,7 +153,6 @@ func TestSessionOptionsMatchDirectEngine(t *testing.T) {
 		WithPacing(time.Microsecond),
 		WithOnePort(true),
 		WithProcs(2),
-		WithPipelined(true),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -89,9 +89,6 @@ func TestWithRedundancyValidation(t *testing.T) {
 	if _, err := Open(context.Background(), WithRedundancy("bogus", 1)); err == nil {
 		t.Error("bogus redundancy mode accepted")
 	}
-	if _, err := Open(context.Background(), WithRedundancy("replicated", 1), WithPipelined(false)); err == nil {
-		t.Error("redundancy over the sequential executor accepted")
-	}
 	daemon := startDaemon(t, 2, nil)
 	_, err := Open(context.Background(), WithRuntime(Remote(daemon)), WithRedundancy("replicated", 1))
 	if err == nil {

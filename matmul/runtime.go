@@ -129,33 +129,16 @@ func (s *inProcessSession) run(ctx context.Context, _ *Job, ah, bh *Operand, c *
 	if err != nil {
 		return err
 	}
+	opts, err := s.cfg.options(a.Cols, plan, a, c, s.pl.P(), s.tracker, nil, &s.replans)
+	if err != nil {
+		return err
+	}
 	ecfg := engine.Config{
 		Workers: s.pl.P(), T: a.Cols,
 		Platform: s.pl, TimePerUnit: s.cfg.pacing,
-		Pipelined: s.cfg.pipelined, OnePort: s.cfg.onePort, Procs: s.cfg.procs,
+		OnePort: s.cfg.onePort, Procs: s.cfg.procs,
 	}
-	if s.cfg.redundant() {
-		// Redundant jobs run through the k-of-n gate, which subsumes the
-		// elastic executor's failover; an adaptive session's estimates still
-		// price the redundant placement.
-		red, err := planRedundancy(s.cfg, a.Cols, plan, a, c, s.pl.P(), s.tracker)
-		if err != nil {
-			return err
-		}
-		return engine.RunRedundantContext(ctx, ecfg, plan, a, b, c, red)
-	}
-	if s.tracker != nil {
-		// The in-process fleet is fixed (goroutine workers neither crash nor
-		// join), so elasticity here means estimate tracking plus
-		// drift-triggered rebalancing of the un-dispatched chunks.
-		el := &engine.Elastic{
-			Tracker:        s.tracker,
-			DriftThreshold: s.cfg.drift,
-			OnReplan:       func(string, int) { s.replans.Add(1) },
-		}
-		return engine.RunElasticContext(ctx, ecfg, plan, a, b, c, el)
-	}
-	return engine.RunContext(ctx, ecfg, plan, a, b, c)
+	return engine.Run(ctx, ecfg, plan, a, b, c, opts)
 }
 
 func (s *inProcessSession) stats(context.Context) (SessionStats, error) {
@@ -256,31 +239,13 @@ func (s *distributedSession) run(ctx context.Context, _ *Job, ah, bh *Operand, c
 		s.m.BeginJob(jobPanels(ah, bh))
 		defer s.m.EndJob()
 	}
-	switch {
-	case s.cfg.redundant():
-		// The gate subsumes elastic failover for this job; see the
-		// in-process run path. A plan error aborts before any dispatch, so
-		// the links stay clean for the next job.
-		var red *engine.Redundancy
-		red, err = planRedundancy(s.cfg, a.Cols, plan, a, c, pl.P(), s.tracker)
-		if err != nil {
-			return err
-		}
-		err = s.m.RunRedundantContext(ctx, a.Cols, plan, a, b, c, red)
-	case s.tracker != nil:
-		el := &engine.Elastic{
-			Tracker:        s.tracker,
-			Join:           s.join,
-			DriftThreshold: s.cfg.drift,
-			OnReplan:       func(string, int) { s.replans.Add(1) },
-		}
-		err = s.m.RunElasticContext(ctx, a.Cols, plan, a, b, c, el)
-	case s.cfg.pipelined:
-		err = s.m.RunPipelinedContext(ctx, a.Cols, plan, a, b, c)
-	default:
-		err = s.m.RunContext(ctx, a.Cols, plan, a, b, c)
-	}
+	// A redundancy plan error aborts before any dispatch, so the links stay
+	// clean for the next job.
+	opts, err := s.cfg.options(a.Cols, plan, a, c, pl.P(), s.tracker, s.join, &s.replans)
 	if err != nil {
+		return err
+	}
+	if err = s.m.Execute(ctx, a.Cols, plan, a, b, c, opts); err != nil {
 		// The reusable-backend contract covers successful runs only: after a
 		// failure (cancellation included) workers may hold chunks, so the
 		// session must not dispatch further jobs over these links.
@@ -294,7 +259,7 @@ func (s *distributedSession) run(ctx context.Context, _ *Job, ah, bh *Operand, c
 // addWorker implements Session.AddWorker: dial, join the master (mid-run
 // included), grow the scheduling platform for subsequent jobs, and — when
 // adaptive — track the newcomer and feed its index to the running job's
-// elastic executor.
+// executor.
 func (s *distributedSession) addWorker(ctx context.Context, addr string, spec Worker) (int, error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
@@ -423,7 +388,6 @@ func (r remoteRuntime) open(_ context.Context, cfg *config) (runtimeSession, err
 		{cfg.setPacing, "WithPacing"},
 		{cfg.setProcs, "WithProcs"},
 		{cfg.setOnePort, "WithOnePort"},
-		{cfg.setPipelined, "WithPipelined"},
 		{cfg.setShutdown, "WithWorkerShutdown"},
 		{cfg.setAdaptive, "WithAdaptive"},
 	} {
@@ -512,15 +476,24 @@ func (s *remoteSession) stats(ctx context.Context) (SessionStats, error) {
 
 func (s *remoteSession) close() error { return nil }
 
-// planRedundancy builds the k-of-n gate input for one local job: mode and
-// factor from the session config, placement priced by the tracker's live
-// estimates when the session is adaptive.
-func planRedundancy(cfg *config, t int, plan []sim.PlanOp, a, c *Matrix, workers int, tr *adapt.Tracker) (*engine.Redundancy, error) {
-	opts := coded.Options{Mode: cfg.redundancy, R: cfg.redundancyR}
+// options builds one local job's executor options: live estimates, joins
+// and re-plan counting when the session is adaptive (tr non-nil), and the
+// k-of-n gate when it is redundant, its placement priced by the same
+// estimates. opts.Tracker stays a nil interface when tr is nil.
+func (c *config) options(t int, plan []sim.PlanOp, a, cm *Matrix, workers int, tr *adapt.Tracker, join <-chan int, replans *atomic.Int32) (*engine.Options, error) {
+	opts := &engine.Options{DriftThreshold: c.drift}
+	red := coded.Options{Mode: c.redundancy, R: c.redundancyR}
 	if tr != nil {
-		opts.Estimator = tr
+		opts.Tracker, opts.Join, red.Estimator = tr, join, tr
+		opts.OnReplan = func(string, int) { replans.Add(1) }
 	}
-	return coded.Plan(t, plan, a, c, workers, opts)
+	if c.redundant() {
+		var err error
+		if opts.Redundancy, err = coded.Plan(t, plan, a, cm, workers, red); err != nil {
+			return nil, err
+		}
+	}
+	return opts, nil
 }
 
 // schedule plans one job's product on pl with the session's scheduler and

@@ -3,10 +3,10 @@
 # the fast ones (quickstart: scheduling only; library: the public matmul
 # facade driving all three runtimes bitwise-identically plus a mid-transfer
 # cancellation; distributed: a real TCP master-worker round trip on
-# loopback, low-level executors and the facade; serve: an mmserve daemon
+# loopback, the low-level executor and the facade; serve: an mmserve daemon
 # over a persistent 4-worker fleet running two concurrent facade submissions
 # plus a post-crash job; elastic: a worker crashing mid-job and another
-# joining mid-job under the adaptive executor — every C verified bitwise
+# joining mid-job in an adaptive session — every C verified bitwise
 # against the in-process engine) and fail on any non-zero exit.
 #
 # Every example runs under timeout(1): a deadlocked example fails the job in
