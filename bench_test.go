@@ -314,7 +314,7 @@ func BenchmarkDistributedLoopback(b *testing.B) {
 		addrs = append(addrs, ln.Addr().String())
 		go mmnet.Serve(ln, addrs[i], mmnet.WorkerOptions{Heartbeat: 200 * time.Millisecond})
 	}
-	m, err := mmnet.Dial(addrs, &mmnet.MasterOptions{IOTimeout: 30 * time.Second})
+	m, err := mmnet.DialContext(context.Background(), addrs, &mmnet.MasterOptions{IOTimeout: 30 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -882,7 +882,7 @@ func BenchmarkStragglerTail(b *testing.B) {
 	// redundant path's retirement of the stalled link never leaks into the
 	// next sample.
 	runOnce := func(redundant bool) time.Duration {
-		m, err := mmnet.Dial(addrs, &mmnet.MasterOptions{IOTimeout: 30 * time.Second})
+		m, err := mmnet.DialContext(context.Background(), addrs, &mmnet.MasterOptions{IOTimeout: 30 * time.Second})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -929,20 +929,24 @@ func BenchmarkStragglerTail(b *testing.B) {
 }
 
 // BenchmarkQueuePolicies measures what the sjf queue policy buys small jobs
-// on the scheduling lab's bimodal mix: each iteration dumps a burst of 6
-// large products followed by 12 small ones on a 4-worker fleet whose leases
-// are capped at 2 workers, so two jobs run while the rest queue — the
-// head-of-line-blocking shape hypotheses/fifo-vs-sjf studies. The same burst
+// on the scheduling lab's bimodal mix: each iteration queues a burst of 6
+// large products and 40 small ones on a 4-worker fleet whose leases are
+// capped at 2 workers — the head-of-line-blocking shape hypotheses/fifo-vs-sjf
+// studies. A blocker lease holds the whole fleet while the burst is queued,
+// so the queue at the first pick is identical under both policies and the
+// policy's ordering is the only variable (without the hold, the large jobs
+// submitted first race the dispatcher for the idle fleet). The same burst
 // runs under fifo and under sjf, and the headline metric is
-// sjf_small_p99_speedup, the within-run ratio of small-job p99 latencies
-// (CI gates on ≥2; a ratio from one run is machine-independent, so the gate
-// is not skippable by the perf-regression label — falling below the floor
-// means the policy stopped reordering, not that the machine was slow).
+// sjf_small_p99_speedup, the within-run ratio of small-job p99 latencies over
+// ≥100 samples at 3 iterations (CI gates on ≥2; a ratio from one run is
+// machine-independent, so the gate is not skippable by the perf-regression
+// label — falling below the floor means the policy stopped reordering, not
+// that the machine was slow).
 func BenchmarkQueuePolicies(b *testing.B) {
 	const (
 		fleetSize = 4
 		nLarge    = 6
-		nSmall    = 12
+		nSmall    = 40
 	)
 	largeInst, largeQ := sched.Instance{R: 8, S: 8, T: 8}, 48
 	smallInst, smallQ := sched.Instance{R: 2, S: 2, T: 2}, 16
@@ -985,6 +989,10 @@ func BenchmarkQueuePolicies(b *testing.B) {
 		defer fleet.Close()
 		srv := serve.NewServer(fleet, serve.Config{MaxWorkersPerJob: 2, NoCache: true, QueuePolicy: policy})
 		defer srv.Close()
+		all := make([]int, fleetSize)
+		for i := range all {
+			all[i] = i
+		}
 
 		var mu sync.Mutex
 		var lats []float64
@@ -1011,12 +1019,20 @@ func BenchmarkQueuePolicies(b *testing.B) {
 					}
 				}()
 			}
+			// Hold every worker while the burst queues; the last small
+			// job's submission, after the release, wakes the dispatcher.
+			blocker, err := fleet.Lease(all)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for j := 0; j < nLarge; j++ {
 				submit(largeA, largeB, largeC, false)
 			}
-			for j := 0; j < nSmall; j++ {
+			for j := 0; j < nSmall-1; j++ {
 				submit(smallA, smallB, smallC, true)
 			}
+			fleet.Return(all, blocker, false)
+			submit(smallA, smallB, smallC, true)
 			wg.Wait()
 		}
 		return lats

@@ -54,7 +54,7 @@ func TestDaemonSubmitStatus(t *testing.T) {
 	if err := runStatus(context.Background(), client); err != nil {
 		t.Fatalf("status: %v", err)
 	}
-	st, err := serve.FetchStats(ln.Addr().String(), 10*time.Second)
+	st, err := serve.FetchStatsContext(t.Context(), ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestAdaptiveDaemonJoinAndEstimates(t *testing.T) {
 	if err := runStatus(context.Background(), client); err != nil {
 		t.Fatalf("status: %v", err)
 	}
-	st, err := serve.FetchStats(ln.Addr().String(), 10*time.Second)
+	st, err := serve.FetchStatsContext(t.Context(), ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

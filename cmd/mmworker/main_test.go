@@ -44,7 +44,7 @@ func TestServeOneSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := mmnet.Dial([]string{ln.Addr().String()}, nil)
+	m, err := mmnet.DialContext(context.Background(), []string{ln.Addr().String()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func main() {
 	}
 
 	// Distributed execution of the same plan over TCP.
-	m, err := mmnet.Dial(addrs, nil)
+	m, err := mmnet.DialContext(context.Background(), addrs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

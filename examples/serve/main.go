@@ -99,7 +99,7 @@ func main() {
 				sawBothRunning <- both
 				return
 			case <-time.After(2 * time.Millisecond):
-				if st, err := serve.FetchStats(daemon, 5*time.Second); err == nil && st.Running >= 2 {
+				if st, err := fetchStats(daemon, 5*time.Second); err == nil && st.Running >= 2 {
 					both = true
 				}
 			}
@@ -140,7 +140,7 @@ func main() {
 	}
 	fmt.Println("both concurrent jobs bitwise-equal to the in-process engine ✓")
 
-	st, err := serve.FetchStats(daemon, 10*time.Second)
+	st, err := fetchStats(daemon, 10*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -270,4 +270,11 @@ func engineReference(inst sched.Instance, q int, seed int64) *matrix.BlockMatrix
 		log.Fatal(err)
 	}
 	return c
+}
+
+// fetchStats reads the daemon's service snapshot within timeout.
+func fetchStats(daemon string, timeout time.Duration) (*serve.Stats, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return serve.FetchStatsContext(ctx, daemon)
 }

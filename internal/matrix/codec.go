@@ -37,6 +37,30 @@ func (c *BlockCodec) scratch(n int) []byte {
 	return c.buf[:n]
 }
 
+// readPayload reads n bytes into the scratch buffer. A buffer too small for
+// n grows as bytes arrive, at most doubling per step, instead of by n up
+// front: a header promising a payload that never comes then costs about
+// what was actually sent, while an honest payload up to 64 KiB still takes
+// one allocation.
+func (c *BlockCodec) readPayload(r io.Reader, n int) ([]byte, error) {
+	if cap(c.buf) >= n {
+		_, err := io.ReadFull(r, c.buf[:n])
+		return c.buf[:n], err
+	}
+	var buf []byte
+	for len(buf) < n {
+		next := make([]byte, len(buf), min(n, max(2*len(buf), 64<<10)))
+		copy(next, buf)
+		got, err := io.ReadFull(r, next[len(buf):cap(next)])
+		buf = next[:len(buf)+got]
+		if err != nil {
+			return nil, err
+		}
+	}
+	c.buf = buf
+	return buf, nil
+}
+
 // WriteBlock serializes b to w in the framed binary format.
 func (c *BlockCodec) WriteBlock(w io.Writer, b *Block) error {
 	var hdr [8]byte
@@ -70,12 +94,11 @@ func (c *BlockCodec) ReadBlock(r io.Reader) (*Block, error) {
 	if q <= 0 || q > 1<<14 {
 		return nil, fmt.Errorf("matrix: implausible block edge %d", q)
 	}
-	b := c.Pool.Get(q)
-	buf := c.scratch(8 * len(b.Data))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		c.Pool.Put(b)
+	buf, err := c.readPayload(r, 8*q*q)
+	if err != nil {
 		return nil, fmt.Errorf("matrix: read block payload: %w", err)
 	}
+	b := c.Pool.Get(q)
 	for i := range b.Data {
 		b.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}

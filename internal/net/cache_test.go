@@ -45,7 +45,7 @@ func TestCacheLoopbackBitwiseAndSkips(t *testing.T) {
 	addrs := startWorkers(t, pl.P(), func(i int) WorkerOptions {
 		return WorkerOptions{Heartbeat: 50 * time.Millisecond, Cache: cache.NewPanelCache(0)}
 	})
-	m, err := Dial(addrs, &MasterOptions{IOTimeout: 10 * time.Second})
+	m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestCacheLoopbackBitwiseAndSkips(t *testing.T) {
 }
 
 // TestCacheOffWorkerFallsBack pairs a caching master epoch with cacheless
-// workers: the handshake answers cache-off, the master stays on the legacy
-// full-transfer protocol, and the result is still bitwise-correct — a mixed
+// workers: the handshake answers cache-off, the master sends installments
+// without panel refs (every block on the wire), and the result is still bitwise-correct — a mixed
 // fleet cannot corrupt C.
 func TestCacheOffWorkerFallsBack(t *testing.T) {
 	pl := cachePlatform()
@@ -133,7 +133,7 @@ func TestCacheOffWorkerFallsBack(t *testing.T) {
 		}
 		return o
 	})
-	m, err := Dial(addrs, &MasterOptions{IOTimeout: 10 * time.Second})
+	m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestCacheTinyBudgetEvictionMidLease(t *testing.T) {
 	addrs := startWorkers(t, pl.P(), func(i int) WorkerOptions {
 		return WorkerOptions{Heartbeat: 50 * time.Millisecond, Cache: cache.NewPanelCache(budget)}
 	})
-	m, err := Dial(addrs, &MasterOptions{IOTimeout: 10 * time.Second})
+	m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCacheCrashFailoverStaysCorrect(t *testing.T) {
 		}
 		return o
 	})
-	m, err := Dial(addrs, &MasterOptions{IOTimeout: 5 * time.Second})
+	m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestElasticJoinAndDepartOverTCP(t *testing.T) {
 		}
 		return o
 	})
-	m, err := Dial(addrs[:2], &MasterOptions{IOTimeout: 10 * time.Second})
+	m, err := DialContext(context.Background(), addrs[:2], &MasterOptions{IOTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestElasticJoinAndDepartOverTCP(t *testing.T) {
 			joinErr <- context.DeadlineExceeded
 			return
 		}
-		wc, err := DialWorker(addrs[2], &MasterOptions{IOTimeout: 10 * time.Second})
+		wc, err := DialWorkerContext(context.Background(), addrs[2], &MasterOptions{IOTimeout: 10 * time.Second})
 		if err != nil {
 			joinErr <- err
 			return
@@ -111,7 +111,7 @@ func TestElasticJoinAndDepartOverTCP(t *testing.T) {
 // will have pooled its connections already.
 func TestAddWorkerAfterDetach(t *testing.T) {
 	addrs := startWorkers(t, 2, nil)
-	m, err := Dial(addrs[:1], nil)
+	m, err := DialContext(context.Background(), addrs[:1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestAddWorkerAfterDetach(t *testing.T) {
 			}
 		}
 	}()
-	wc, err := DialWorker(addrs[1], nil)
+	wc, err := DialWorkerContext(context.Background(), addrs[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestElasticCancelReachesJoinedWorker(t *testing.T) {
 			StallFor:           time.Minute,
 		}
 	})
-	m, err := Dial(addrs[:1], &MasterOptions{IOTimeout: time.Minute})
+	m, err := DialContext(context.Background(), addrs[:1], &MasterOptions{IOTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestElasticCancelReachesJoinedWorker(t *testing.T) {
 	}()
 	// Join the second worker while the first is stalled mid-job, then cancel:
 	// the whole run — joined connection included — must unwind promptly.
-	wc, err := DialWorker(addrs[1], &MasterOptions{IOTimeout: time.Minute})
+	wc, err := DialWorkerContext(context.Background(), addrs[1], &MasterOptions{IOTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,16 +94,11 @@ type WorkerConn struct {
 	opts MasterOptions
 }
 
-// DialWorker connects to one worker and collects its registration.
-func DialWorker(addr string, opts *MasterOptions) (*WorkerConn, error) {
-	return DialWorkerContext(context.Background(), addr, opts)
-}
-
-// DialWorkerContext is DialWorker bounded by ctx: both the TCP connect and
-// the registration read finish by the earlier of ctx's deadline and the
-// configured DialTimeout, and a cancelled ctx aborts either phase in flight
-// — the connect through the dialer, the registration read through an
-// immediately-expired deadline.
+// DialWorkerContext connects to one worker and collects its registration,
+// bounded by ctx: both the TCP connect and the registration read finish by
+// the earlier of ctx's deadline and the configured DialTimeout, and a
+// cancelled ctx aborts either phase in flight — the connect through the
+// dialer, the registration read through an immediately-expired deadline.
 func DialWorkerContext(ctx context.Context, addr string, opts *MasterOptions) (*WorkerConn, error) {
 	o := opts.withDefaults()
 	d := net.Dialer{Timeout: o.DialTimeout}
@@ -152,7 +147,7 @@ func deadlineWithin(ctx context.Context, d time.Duration) time.Time {
 func (wc *WorkerConn) Name() string { return wc.l.name }
 
 // Kernel returns the block-update kernel the worker announced at
-// registration; empty for workers predating the kernel field.
+// registration.
 func (wc *WorkerConn) Kernel() string { return wc.l.kernel }
 
 // Alive reports whether the connection has not been closed or retired.
@@ -301,14 +296,9 @@ var _ engine.CopyingBackend = (*Master)(nil)
 // moment a send completes.
 func (m *Master) CopiesBlocks() bool { return true }
 
-// Dial connects to every worker address and collects their registrations.
-// Worker i of any plan maps to addrs[i].
-func Dial(addrs []string, opts *MasterOptions) (*Master, error) {
-	return DialContext(context.Background(), addrs, opts)
-}
-
-// DialContext is Dial bounded by ctx: each per-worker connect and
-// registration finishes within the earlier of ctx's deadline and
+// DialContext connects to every worker address and collects their
+// registrations; worker i of any plan maps to addrs[i]. Each per-worker
+// connect and registration finishes within the earlier of ctx's deadline and
 // DialTimeout, and cancelling ctx aborts the whole dial sequence.
 func DialContext(ctx context.Context, addrs []string, opts *MasterOptions) (*Master, error) {
 	conns := make([]*WorkerConn, 0, len(addrs))
@@ -428,7 +418,7 @@ func (m *Master) WorkerNames() []string {
 }
 
 // WorkerKernels returns the block-update kernel each registered worker
-// announced, in plan-index order ("" for workers predating the field).
+// announced, in plan-index order.
 func (m *Master) WorkerKernels() []string {
 	links := m.linkSnapshot()
 	kernels := make([]string, len(links))
@@ -551,30 +541,37 @@ func (m *Master) SendC(w int, ch matrix.Chunk, blocks []*matrix.Block) error {
 }
 
 // SendAB implements engine.Backend: digest-addressed during a panel-cache
-// epoch the worker joined, a plain streamed frame (SendABRaw) otherwise.
+// epoch the worker joined, every block on the wire otherwise.
 func (m *Master) SendAB(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
-	l := m.link(w)
-	if l == nil {
-		return fmt.Errorf("net: send install to unknown worker %d: %w", w, engine.ErrWorkerDown)
-	}
-	if jp := m.jobPanels(); jp != nil && l.cacheable {
-		return m.sendInstallD(w, l, jp, ch, k0, k1, a, b)
-	}
-	return m.SendABRaw(w, ch, k0, k1, a, b)
+	return m.sendInstall(w, ch, k0, k1, a, b, true)
 }
 
-// SendABRaw implements engine.RawSender: ship the installment as a plain
-// streamed frame even when a panel-cache epoch is open. Parity units carry
-// pre-encoded payloads under borrowed chunk coordinates; addressing them by
-// the job's panel digests would install encoded bytes under the real panels'
-// identities on both sides of the link. The A/B pointer lists are
-// concatenated into the link's scratch slice — safe to reuse per send
-// because the frame is fully staged on the wire before send returns, and
-// each link is driven by at most one dispatch goroutine at a time.
+// SendABRaw implements engine.RawSender: ship every block of the installment
+// even when a panel-cache epoch is open. Parity units carry pre-encoded
+// payloads under borrowed chunk coordinates; addressing them by the job's
+// panel digests would install encoded bytes under the real panels'
+// identities on both sides of the link.
 func (m *Master) SendABRaw(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
+	return m.sendInstall(w, ch, k0, k1, a, b, false)
+}
+
+// sendInstall frames and accounts one installment. With byDigest set on a
+// link in a panel-cache epoch the frame carries one PanelRef per chunk row
+// and column and omits the blocks of resident panels; wire block order is
+// the plain order minus the omissions — included A rows row-major, then B
+// blocks k-major with resident columns skipped per k — so the worker
+// reconstructs the full panel lists with one linear walk. The A/B pointer
+// lists are concatenated into the link's scratch slice — safe to reuse per
+// send because the frame is fully staged on the wire before send returns,
+// and each link is driven by at most one dispatch goroutine at a time.
+func (m *Master) sendInstall(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block, byDigest bool) error {
 	l := m.link(w)
 	if l == nil {
 		return fmt.Errorf("net: send install to unknown worker %d: %w", w, engine.ErrWorkerDown)
+	}
+	var jp *cache.JobPanels
+	if byDigest && l.cacheable {
+		jp = m.jobPanels()
 	}
 	st := m.stat(w)
 	q := 0
@@ -583,11 +580,49 @@ func (m *Master) SendABRaw(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Bl
 	} else if len(b) > 0 {
 		q = b[0].Q
 	}
-	ws := int64(k1-k0) * int64(matrix.BlockWireSize(q))
-	st.aSent.Add(int64(ch.H) * ws)
-	st.bSent.Add(int64(ch.W) * ws)
-	l.abBuf = append(append(l.abBuf[:0], a...), b...)
-	return m.send(w, "send install", &Msg{Kind: MsgInstall, Chunk: ch, K0: k0, K1: k1, Blocks: l.abBuf})
+	d := k1 - k0
+	ws := int64(d) * int64(matrix.BlockWireSize(q))
+	msg := &Msg{Kind: MsgInstall, Chunk: ch, K0: k0, K1: k1}
+	if jp == nil {
+		st.aSent.Add(int64(ch.H) * ws)
+		st.bSent.Add(int64(ch.W) * ws)
+		l.abBuf = append(append(l.abBuf[:0], a...), b...)
+		msg.Blocks = l.abBuf
+		return m.send(w, "send install", msg)
+	}
+	msg.T = jp.T
+	msg.ARefs = make([]PanelRef, ch.H)
+	msg.BRefs = make([]PanelRef, ch.W)
+	blocks := l.abBuf[:0]
+	for i := range msg.ARefs {
+		dg := jp.ARows[ch.Row0+i]
+		msg.ARefs[i] = PanelRef{D: dg, Resident: l.have[dg]}
+		if l.have[dg] {
+			st.aSaved.Add(ws)
+			continue
+		}
+		blocks = append(blocks, a[i*d:(i+1)*d]...)
+		st.aSent.Add(ws)
+	}
+	for j := range msg.BRefs {
+		dg := jp.BCols[ch.Col0+j]
+		msg.BRefs[j] = PanelRef{D: dg, Resident: l.have[dg]}
+		if l.have[dg] {
+			st.bSaved.Add(ws)
+		} else {
+			st.bSent.Add(ws)
+		}
+	}
+	for k := 0; k < d; k++ {
+		for j, r := range msg.BRefs {
+			if !r.Resident {
+				blocks = append(blocks, b[k*ch.W+j])
+			}
+		}
+	}
+	l.abBuf = blocks
+	msg.Blocks = blocks
+	return m.send(w, "send install", msg)
 }
 
 // RecvC implements engine.Backend: flush the worker and wait for its result,

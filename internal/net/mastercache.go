@@ -12,7 +12,7 @@ import (
 // This file is the master's half of the panel-cache protocol. A job that
 // wants transfer skipping calls BeginJob with its panel digests before Run;
 // the master then runs a have/need handshake with every cacheable worker,
-// ships installments as digest-addressed MsgInstallD frames with resident
+// ships installments as digest-addressed MsgInstall frames with resident
 // panels omitted, and promotes a chunk's panels to resident when the chunk's
 // result lands (the worker, symmetrically, promotes at the flush that
 // produced that result — so the master's residency view never runs ahead of
@@ -54,7 +54,7 @@ type WorkerCacheStats struct {
 // column-panel of the job about to run, and each live worker is asked which
 // of them it already holds. Until EndJob, SendAB ships digest-addressed
 // installments that omit resident panels. A nil jp (or not calling BeginJob
-// at all) keeps the legacy full-transfer protocol.
+// at all) keeps every installment's blocks on the wire.
 //
 // Call it before Execute, never during: the handshake uses the links'
 // codecs, which the run's dispatch goroutines own. A worker that fails the
@@ -77,8 +77,8 @@ func (m *Master) BeginJob(jp *cache.JobPanels) {
 	}
 }
 
-// EndJob closes the epoch opened by BeginJob and reverts SendAB to the
-// legacy protocol. Residency bookkeeping on the links survives until the
+// EndJob closes the epoch opened by BeginJob and reverts SendAB to
+// full-transfer installments. Residency bookkeeping on the links survives until the
 // next BeginJob so ResidentSnapshot can read it; it is never consulted for
 // skipping outside an epoch.
 func (m *Master) EndJob() {
@@ -137,7 +137,7 @@ func handshakeLink(l *link, opts MasterOptions, st *linkStats, jp *cache.JobPane
 			}
 			st.cacheOn.Store(msg.CacheOn)
 			if !msg.CacheOn {
-				return nil // cacheless worker: stay on the legacy protocol
+				return nil // cacheless worker: installments stay full-transfer
 			}
 			l.cacheable = true
 			l.have = make(map[cache.Digest]bool, len(ds))
@@ -157,52 +157,6 @@ func handshakeLink(l *link, opts MasterOptions, st *linkStats, jp *cache.JobPane
 			return fmt.Errorf("worker sent %s during cache handshake", msg.Kind)
 		}
 	}
-}
-
-// sendInstallD is SendAB's epoch path: frame the installment digest-addressed,
-// with the blocks of resident panels omitted. Wire block order is MsgInstall's
-// order minus the omissions — included A rows row-major, then B blocks k-major
-// with resident columns skipped per k — so the worker reconstructs the full
-// panel lists with one linear walk.
-func (m *Master) sendInstallD(w int, l *link, jp *cache.JobPanels, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
-	st := m.stat(w)
-	d := k1 - k0
-	ws := int64(d) * int64(matrix.BlockWireSize(jp.Q))
-	msg := &Msg{Kind: MsgInstallD, Chunk: ch, K0: k0, K1: k1, T: jp.T}
-	msg.ARefs = make([]PanelRef, ch.H)
-	msg.BRefs = make([]PanelRef, ch.W)
-	blocks := l.abBuf[:0]
-	for i := 0; i < ch.H; i++ {
-		dg := jp.ARows[ch.Row0+i]
-		if l.have[dg] {
-			msg.ARefs[i] = PanelRef{D: dg, Resident: true}
-			st.aSaved.Add(ws)
-			continue
-		}
-		msg.ARefs[i] = PanelRef{D: dg}
-		blocks = append(blocks, a[i*d:(i+1)*d]...)
-		st.aSent.Add(ws)
-	}
-	for j := 0; j < ch.W; j++ {
-		dg := jp.BCols[ch.Col0+j]
-		if l.have[dg] {
-			msg.BRefs[j] = PanelRef{D: dg, Resident: true}
-			st.bSaved.Add(ws)
-		} else {
-			msg.BRefs[j] = PanelRef{D: dg}
-			st.bSent.Add(ws)
-		}
-	}
-	for k := 0; k < d; k++ {
-		for j := 0; j < ch.W; j++ {
-			if !msg.BRefs[j].Resident {
-				blocks = append(blocks, b[k*ch.W+j])
-			}
-		}
-	}
-	l.abBuf = blocks
-	msg.Blocks = blocks
-	return m.send(w, "send install", msg)
 }
 
 // promote marks a completed chunk's panels resident on worker w. Called only

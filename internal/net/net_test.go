@@ -80,7 +80,7 @@ func TestLoopbackMatchesEngineBitwise(t *testing.T) {
 		}
 
 		addrs := startWorkers(t, pl.P(), nil)
-		m, err := Dial(addrs, &MasterOptions{IOTimeout: 10 * time.Second})
+		m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 10 * time.Second})
 		if err != nil {
 			t.Fatalf("%s: dial: %v", s.Name(), err)
 		}
@@ -131,7 +131,7 @@ func TestPipelinedLoopbackMatchesEngineBitwise(t *testing.T) {
 		addrs := startWorkers(t, pl.P(), func(i int) WorkerOptions {
 			return WorkerOptions{Heartbeat: 50 * time.Millisecond, Procs: 2}
 		})
-		m, err := Dial(addrs, &MasterOptions{IOTimeout: 10 * time.Second, OnePort: true})
+		m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 10 * time.Second, OnePort: true})
 		if err != nil {
 			t.Fatalf("%s: dial: %v", s.Name(), err)
 		}
@@ -175,7 +175,7 @@ func TestPipelinedWorkerCrashFailover(t *testing.T) {
 			}
 			return o
 		})
-		m, err := Dial(addrs, &MasterOptions{IOTimeout: 5 * time.Second})
+		m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 5 * time.Second})
 		if err != nil {
 			t.Fatalf("victim %d: dial: %v", victim, err)
 		}
@@ -212,7 +212,7 @@ func TestWorkerCrashFailover(t *testing.T) {
 			}
 			return o
 		})
-		m, err := Dial(addrs, &MasterOptions{IOTimeout: 5 * time.Second})
+		m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 5 * time.Second})
 		if err != nil {
 			t.Fatalf("victim %d: dial: %v", victim, err)
 		}
@@ -248,7 +248,7 @@ func TestWorkerKillMidRunViaConnDrop(t *testing.T) {
 		}
 		return o
 	})
-	m, err := Dial(addrs, &MasterOptions{IOTimeout: 5 * time.Second})
+	m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestIdleClientCannotWedgeWorker(t *testing.T) {
 	defer mute.Close()
 	time.Sleep(100 * time.Millisecond) // let the worker accept the mute session
 
-	m, err := Dial([]string{ln.Addr().String()}, &MasterOptions{DialTimeout: 5 * time.Second})
+	m, err := DialContext(context.Background(), []string{ln.Addr().String()}, &MasterOptions{DialTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("real master starved behind a mute client: %v", err)
 	}
@@ -316,7 +316,7 @@ func TestDialRejectsSilentPeer(t *testing.T) {
 			time.Sleep(2 * time.Second) // never send hello
 		}
 	}()
-	if _, err := Dial([]string{ln.Addr().String()}, &MasterOptions{DialTimeout: 300 * time.Millisecond}); err == nil {
+	if _, err := DialContext(context.Background(), []string{ln.Addr().String()}, &MasterOptions{DialTimeout: 300 * time.Millisecond}); err == nil {
 		t.Fatal("silent peer accepted as a worker")
 	}
 }
@@ -334,7 +334,7 @@ func TestMasterReleaseWorkerReregisters(t *testing.T) {
 	}
 
 	for round := 0; round < 3; round++ {
-		m, err := Dial(addrs, &MasterOptions{DialTimeout: 5 * time.Second, IOTimeout: 5 * time.Second})
+		m, err := DialContext(context.Background(), addrs, &MasterOptions{DialTimeout: 5 * time.Second, IOTimeout: 5 * time.Second})
 		if err != nil {
 			t.Fatalf("round %d: dial after release: %v", round, err)
 		}
@@ -358,7 +358,7 @@ func TestMasterReleaseWorkerReregisters(t *testing.T) {
 // every call past the first must find no links and return nil.
 func TestShutdownIdempotent(t *testing.T) {
 	addrs := startWorkers(t, 2, nil)
-	m, err := Dial(addrs, &MasterOptions{IOTimeout: 5 * time.Second})
+	m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestShutdownIdempotent(t *testing.T) {
 		t.Fatalf("second shutdown not idempotent: %v", err)
 	}
 
-	m2, err := Dial(addrs, nil)
+	m2, err := DialContext(context.Background(), addrs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestShutdownIdempotent(t *testing.T) {
 func TestMasterReuseAcrossJobs(t *testing.T) {
 	pl := platform.Homogeneous(2, 1, 1, 40)
 	addrs := startWorkers(t, 2, nil)
-	m, err := Dial(addrs, &MasterOptions{IOTimeout: 10 * time.Second})
+	m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestDetachedConnSurvivesIdleAndReruns(t *testing.T) {
 	addrs := startWorkers(t, 1, func(i int) WorkerOptions {
 		return WorkerOptions{Heartbeat: 20 * time.Millisecond, IdleTimeout: 250 * time.Millisecond}
 	})
-	wc, err := DialWorker(addrs[0], &MasterOptions{IOTimeout: 5 * time.Second})
+	wc, err := DialWorkerContext(context.Background(), addrs[0], &MasterOptions{IOTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestRunContextCancelPromptOnStalledWorker(t *testing.T) {
 		}
 		a, b, c, _ := testMatrices(t, inst, 4, 33)
 
-		m, err := Dial(addrs, &MasterOptions{IOTimeout: 30 * time.Second})
+		m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}

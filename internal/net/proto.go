@@ -33,7 +33,7 @@ type MsgKind uint8
 const (
 	MsgHello     MsgKind = iota + 1 // worker → master: registration
 	MsgChunk                        // master → worker: C chunk
-	MsgInstall                      // master → worker: A/B panels
+	MsgInstall                      // master → worker: A/B panels, resident ones omitted when digest-addressed
 	MsgFlush                        // master → worker: return the chunk
 	MsgResult                       // worker → master: finished chunk
 	MsgHeartbeat                    // bidirectional: liveness beacon / fleet keepalive
@@ -41,7 +41,6 @@ const (
 	MsgRelease                      // master → worker: end the session, keep serving
 	MsgHave                         // master → worker: job panel digests — which are resident?
 	MsgHaveAck                      // worker → master: per-digest presence answer
-	MsgInstallD                     // master → worker: digest-addressed A/B panels, resident ones omitted
 	MsgCancel                       // master → worker: abandon the held chunk; worker → master: dropped-it ack
 )
 
@@ -67,8 +66,6 @@ func (k MsgKind) String() string {
 		return "have"
 	case MsgHaveAck:
 		return "have-ack"
-	case MsgInstallD:
-		return "install-digest"
 	case MsgCancel:
 		return "cancel"
 	default:
@@ -76,10 +73,10 @@ func (k MsgKind) String() string {
 	}
 }
 
-// PanelRef names one panel of an InstallD frame: the digest of the full A
-// row-panel (or B column-panel) the installment's blocks belong to, and
-// whether the worker must serve those blocks from its cache (Resident) or
-// from the frame's payload.
+// PanelRef names one panel of a digest-addressed Install frame: the digest
+// of the full A row-panel (or B column-panel) the installment's blocks belong
+// to, and whether the worker must serve those blocks from its cache
+// (Resident) or from the frame's payload.
 type PanelRef struct {
 	D        cache.Digest
 	Resident bool
@@ -92,19 +89,21 @@ type Msg struct {
 	Name      string        // Hello: worker name
 	Kernel    string        // Hello: worker's selected block-update kernel
 	Heartbeat time.Duration // Hello: interval at which the worker will beat
-	Chunk     matrix.Chunk  // Chunk / Install / InstallD / Flush / Result
-	K0, K1    int           // Install / InstallD: inner panel range [K0, K1)
-	T         int           // InstallD: full inner dimension (panel depth)
+	Chunk     matrix.Chunk  // Chunk / Install / Flush / Result
+	K0, K1    int           // Install: inner panel range [K0, K1)
+	T         int           // Install: full inner dimension (panel depth) when digest-addressed
 	Blocks    []*matrix.Block
 	Digests   []cache.Digest // Have: the job's distinct panel digests
 	HaveBits  []bool         // HaveAck: per-queried-digest presence
 	CacheOn   bool           // HaveAck: worker runs a panel cache at all
-	ARefs     []PanelRef     // InstallD: one per chunk row, in row order
-	BRefs     []PanelRef     // InstallD: one per chunk column, in column order
+	ARefs     []PanelRef     // Install: one per chunk row, in row order; empty ⇔ every block on the wire
+	BRefs     []PanelRef     // Install: one per chunk column, in column order; empty ⇔ every block on the wire
 }
 
 const (
-	frameMagic      = 0x4d4d5031 // "MMP1"
+	// frameMagic versions the whole protocol: a peer built against another
+	// frame layout fails its first header check instead of misparsing.
+	frameMagic      = 0x4d4d5032 // "MMP2"
 	maxFramePayload = 1 << 30    // 1 GiB: far above any real installment
 	maxNameLen      = 1 << 10
 
@@ -124,12 +123,47 @@ func PutFrameHeader(hdr []byte, magic uint32, kind uint8, payloadLen int) {
 }
 
 // ParseFrameHeader decodes the shared frame prefix, rejecting a foreign or
-// corrupt magic.
+// corrupt magic — the same check rejects a peer speaking another version of
+// the protocol, so the error names both magics.
 func ParseFrameHeader(hdr []byte, magic uint32) (kind uint8, payloadLen uint32, err error) {
 	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != magic {
-		return 0, 0, fmt.Errorf("net: bad frame magic %#x", m)
+		return 0, 0, fmt.Errorf("net: frame magic %q, want %q (peer speaks another protocol or version)", magicName(m), magicName(magic))
 	}
 	return hdr[4], binary.LittleEndian.Uint32(hdr[5:9]), nil
+}
+
+// magicName renders a frame magic the way the constants spell it ("MMP2").
+func magicName(m uint32) string {
+	return string([]byte{byte(m >> 24), byte(m >> 16), byte(m >> 8), byte(m)})
+}
+
+// ReadList reads a u32-count-prefixed list of size-byte entries from a
+// frame body, decoding each with get. A count whose entries cannot fit in
+// what remains of the frame is rejected before anything is allocated, and
+// the list grows as entries arrive, so neither a short frame nor a header
+// that overstates its length reserves memory the frame never ships. An
+// empty list decodes as nil.
+func ReadList[T any](r *io.LimitedReader, size int, get func([]byte) T) ([]T, error) {
+	var cnt [4]byte
+	if _, err := io.ReadFull(r, cnt[:]); err != nil {
+		return nil, err
+	}
+	n := int64(binary.LittleEndian.Uint32(cnt[:]))
+	if n*int64(size) > r.N {
+		return nil, fmt.Errorf("list of %d entries overruns the frame's remaining %d bytes", n, r.N)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]T, 0, min(n, 1<<10))
+	entry := make([]byte, size)
+	for range n {
+		if _, err := io.ReadFull(r, entry); err != nil {
+			return nil, err
+		}
+		out = append(out, get(entry))
+	}
+	return out, nil
 }
 
 // putFrameHeader / parseFrameHeader bind the shared layout to this package's
@@ -167,7 +201,10 @@ func payloadLen(m *Msg) (int, error) {
 	case MsgChunk, MsgResult:
 		return 16 + blocksLen(), nil
 	case MsgInstall:
-		return 16 + 8 + blocksLen(), nil
+		if len(m.ARefs)+len(m.BRefs) > maxPanelRefs {
+			return 0, fmt.Errorf("net: install frame with %d refs", len(m.ARefs)+len(m.BRefs))
+		}
+		return 16 + 12 + 4 + panelRefLen*len(m.ARefs) + 4 + panelRefLen*len(m.BRefs) + blocksLen(), nil
 	case MsgFlush, MsgCancel:
 		return 16, nil
 	case MsgHeartbeat, MsgShutdown, MsgRelease:
@@ -182,11 +219,6 @@ func payloadLen(m *Msg) (int, error) {
 			return 0, fmt.Errorf("net: have-ack frame with %d answers", len(m.HaveBits))
 		}
 		return 1 + 4 + len(m.HaveBits), nil
-	case MsgInstallD:
-		if len(m.ARefs)+len(m.BRefs) > maxPanelRefs {
-			return 0, fmt.Errorf("net: install-digest frame with %d refs", len(m.ARefs)+len(m.BRefs))
-		}
-		return 16 + 8 + 4 + 4 + panelRefLen*len(m.ARefs) + 4 + panelRefLen*len(m.BRefs) + blocksLen(), nil
 	default:
 		return 0, fmt.Errorf("net: cannot encode message kind %d", m.Kind)
 	}
@@ -221,25 +253,13 @@ func putPanelRefs(w io.Writer, refs []PanelRef) error {
 }
 
 // getPanelRefs reads a count-prefixed PanelRef list.
-func getPanelRefs(r io.Reader) ([]PanelRef, error) {
-	var cnt [4]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(cnt[:]))
-	if n > maxPanelRefs {
-		return nil, fmt.Errorf("net: panel ref list of %d entries", n)
-	}
-	refs := make([]PanelRef, n)
-	var buf [panelRefLen]byte
-	for i := range refs {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, err
-		}
-		copy(refs[i].D[:], buf[:cache.DigestLen])
-		refs[i].Resident = buf[cache.DigestLen] != 0
-	}
-	return refs, nil
+func getPanelRefs(r *io.LimitedReader) ([]PanelRef, error) {
+	return ReadList(r, panelRefLen, func(b []byte) PanelRef {
+		var p PanelRef
+		copy(p.D[:], b)
+		p.Resident = b[cache.DigestLen] != 0
+		return p
+	})
 }
 
 // WriteMsg writes one length-prefixed frame to w with a one-shot codec.
@@ -290,19 +310,6 @@ func WriteMsgCodec(w io.Writer, m *Msg, bc *matrix.BlockCodec) error {
 		if err := bc.WriteBlocks(w, m.Blocks); err != nil {
 			return err
 		}
-	case MsgInstall:
-		if err := putChunk(w, m.Chunk); err != nil {
-			return err
-		}
-		var kr [8]byte
-		binary.LittleEndian.PutUint32(kr[0:4], uint32(m.K0))
-		binary.LittleEndian.PutUint32(kr[4:8], uint32(m.K1))
-		if _, err := w.Write(kr[:]); err != nil {
-			return fmt.Errorf("net: write panel range: %w", err)
-		}
-		if err := bc.WriteBlocks(w, m.Blocks); err != nil {
-			return err
-		}
 	case MsgFlush, MsgCancel:
 		if err := putChunk(w, m.Chunk); err != nil {
 			return err
@@ -334,7 +341,7 @@ func WriteMsgCodec(w io.Writer, m *Msg, bc *matrix.BlockCodec) error {
 		if _, err := w.Write(ack); err != nil {
 			return fmt.Errorf("net: write have-ack: %w", err)
 		}
-	case MsgInstallD:
+	case MsgInstall:
 		if err := putChunk(w, m.Chunk); err != nil {
 			return err
 		}
@@ -404,77 +411,41 @@ func ReadMsgCodec(r io.Reader, bc *matrix.BlockCodec) (*Msg, error) {
 			break
 		}
 		m.Name = string(name)
-		// The kernel field is a later addition: a hello that ends here came
-		// from a pre-kernel worker, so leave Kernel empty rather than erroring.
-		if buf.N > 0 {
-			var kl [2]byte
-			if _, err = io.ReadFull(buf, kl[:]); err != nil {
-				break
-			}
-			kernelLen := int(binary.LittleEndian.Uint16(kl[:]))
-			if kernelLen > maxNameLen {
-				return nil, fmt.Errorf("net: hello kernel name %d bytes long", kernelLen)
-			}
-			kn := make([]byte, kernelLen)
-			if _, err = io.ReadFull(buf, kn); err != nil {
-				break
-			}
-			m.Kernel = string(kn)
+		var kl [2]byte
+		if _, err = io.ReadFull(buf, kl[:]); err != nil {
+			break
 		}
+		kernelLen := int(binary.LittleEndian.Uint16(kl[:]))
+		if kernelLen > maxNameLen {
+			return nil, fmt.Errorf("net: hello kernel name %d bytes long", kernelLen)
+		}
+		kn := make([]byte, kernelLen)
+		if _, err = io.ReadFull(buf, kn); err != nil {
+			break
+		}
+		m.Kernel = string(kn)
 	case MsgChunk, MsgResult:
 		if m.Chunk, err = getChunk(buf); err != nil {
 			break
 		}
-		m.Blocks, err = bc.ReadBlocks(buf)
-	case MsgInstall:
-		if m.Chunk, err = getChunk(buf); err != nil {
-			break
-		}
-		var kr [8]byte
-		if _, err = io.ReadFull(buf, kr[:]); err != nil {
-			break
-		}
-		m.K0 = int(int32(binary.LittleEndian.Uint32(kr[0:4])))
-		m.K1 = int(int32(binary.LittleEndian.Uint32(kr[4:8])))
 		m.Blocks, err = bc.ReadBlocks(buf)
 	case MsgFlush, MsgCancel:
 		m.Chunk, err = getChunk(buf)
 	case MsgHeartbeat, MsgShutdown, MsgRelease:
 		// empty payload
 	case MsgHave:
-		var cnt [4]byte
-		if _, err = io.ReadFull(buf, cnt[:]); err != nil {
-			break
-		}
-		nd := int(binary.LittleEndian.Uint32(cnt[:]))
-		if nd > maxPanelRefs {
-			return nil, fmt.Errorf("net: have frame with %d digests", nd)
-		}
-		m.Digests = make([]cache.Digest, nd)
-		for i := range m.Digests {
-			if _, err = io.ReadFull(buf, m.Digests[i][:]); err != nil {
-				break
-			}
-		}
+		m.Digests, err = ReadList(buf, cache.DigestLen, func(b []byte) (d cache.Digest) {
+			copy(d[:], b)
+			return d
+		})
 	case MsgHaveAck:
-		var ah [5]byte
-		if _, err = io.ReadFull(buf, ah[:]); err != nil {
+		var on [1]byte
+		if _, err = io.ReadFull(buf, on[:]); err != nil {
 			break
 		}
-		m.CacheOn = ah[0] != 0
-		nb := int(binary.LittleEndian.Uint32(ah[1:5]))
-		if nb > maxPanelRefs {
-			return nil, fmt.Errorf("net: have-ack frame with %d answers", nb)
-		}
-		bits := make([]byte, nb)
-		if _, err = io.ReadFull(buf, bits); err != nil {
-			break
-		}
-		m.HaveBits = make([]bool, nb)
-		for i, b := range bits {
-			m.HaveBits[i] = b != 0
-		}
-	case MsgInstallD:
+		m.CacheOn = on[0] != 0
+		m.HaveBits, err = ReadList(buf, 1, func(b []byte) bool { return b[0] != 0 })
+	case MsgInstall:
 		if m.Chunk, err = getChunk(buf); err != nil {
 			break
 		}

@@ -2,7 +2,14 @@ package net
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
+	"io"
+	"math"
 	"math/rand"
+	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,7 +35,7 @@ func slicesEqual[T comparable](a, b []T) bool {
 	return true
 }
 
-func randBlocks(t *testing.T, n, q int, seed int64) []*matrix.Block {
+func randBlocks(t testing.TB, n, q int, seed int64) []*matrix.Block {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]*matrix.Block, n)
@@ -55,48 +62,154 @@ func roundTrip(t *testing.T, m *Msg) *Msg {
 	return got
 }
 
-// TestProtoRoundTripEveryKind encodes and decodes one message of every
-// protocol kind and checks all fields survive bit-for-bit.
-func TestProtoRoundTripEveryKind(t *testing.T) {
+// everyKind returns one message of every protocol kind (both shapes of the
+// install frame: plain and digest-addressed).
+func everyKind(t testing.TB) []*Msg {
 	ch := matrix.Chunk{Row0: 3, Col0: 7, H: 2, W: 4}
-	msgs := []*Msg{
-		{Kind: MsgHello, Name: "node-17", Heartbeat: 250 * time.Millisecond},
-		{Kind: MsgChunk, Chunk: ch, Blocks: randBlocks(t, ch.Blocks(), 5, 1)},
-		{Kind: MsgInstall, Chunk: ch, K0: 2, K1: 5, Blocks: randBlocks(t, 3*(ch.H+ch.W), 5, 2)},
+	return []*Msg{
+		{Kind: MsgHello, Name: "node-17", Kernel: "avx2", Heartbeat: 250 * time.Millisecond},
+		{Kind: MsgChunk, Chunk: ch, Blocks: randBlocks(t, ch.Blocks(), 2, 1)},
+		{Kind: MsgInstall, Chunk: ch, K0: 2, K1: 5, Blocks: randBlocks(t, 3*(ch.H+ch.W), 2, 2)},
+		{Kind: MsgInstall, Chunk: ch, K0: 2, K1: 5, T: 9,
+			ARefs: []PanelRef{{D: digest(4)}, {D: digest(5), Resident: true}},
+			BRefs: []PanelRef{{D: digest(6), Resident: true}, {D: digest(7)}, {D: digest(6), Resident: true}, {D: digest(8)}},
+			// 1 non-resident A row and 2 non-resident B columns at depth 3.
+			Blocks: randBlocks(t, 3+2*3, 2, 7)},
 		{Kind: MsgFlush, Chunk: ch},
 		{Kind: MsgCancel, Chunk: ch},
-		{Kind: MsgResult, Chunk: ch, Blocks: randBlocks(t, ch.Blocks(), 5, 3)},
+		{Kind: MsgResult, Chunk: ch, Blocks: randBlocks(t, ch.Blocks(), 2, 3)},
 		{Kind: MsgHeartbeat},
 		{Kind: MsgShutdown},
 		{Kind: MsgRelease},
 		{Kind: MsgHave, Digests: []cache.Digest{digest(1), digest(2), digest(3)}},
 		{Kind: MsgHaveAck, CacheOn: true, HaveBits: []bool{true, false, true}},
 		{Kind: MsgHaveAck, HaveBits: []bool{false, false}},
-		{Kind: MsgInstallD, Chunk: ch, K0: 2, K1: 5, T: 9,
-			ARefs: []PanelRef{{D: digest(4)}, {D: digest(5), Resident: true}},
-			BRefs: []PanelRef{{D: digest(6), Resident: true}, {D: digest(7)}, {D: digest(6), Resident: true}, {D: digest(8)}},
-			// 1 non-resident A row and 2 non-resident B columns at depth 3.
-			Blocks: randBlocks(t, 3+2*3, 5, 7)},
 	}
-	for _, m := range msgs {
-		got := roundTrip(t, m)
-		if got.Kind != m.Kind || got.Name != m.Name || got.Heartbeat != m.Heartbeat ||
-			got.Chunk != m.Chunk || got.K0 != m.K0 || got.K1 != m.K1 || got.T != m.T ||
-			got.CacheOn != m.CacheOn {
-			t.Errorf("%s: fields mangled: sent %+v got %+v", m.Kind, m, got)
+}
+
+// msgDiff reports the first field on which two messages differ ("" when
+// equal); block payloads compare bit-for-bit.
+func msgDiff(a, b *Msg) string {
+	switch {
+	case a.Kind != b.Kind || a.Name != b.Name || a.Kernel != b.Kernel || a.Heartbeat != b.Heartbeat:
+		return "hello fields"
+	case a.Chunk != b.Chunk || a.K0 != b.K0 || a.K1 != b.K1 || a.T != b.T || a.CacheOn != b.CacheOn:
+		return "scalar fields"
+	case !slicesEqual(a.Digests, b.Digests) || !slicesEqual(a.HaveBits, b.HaveBits) ||
+		!slicesEqual(a.ARefs, b.ARefs) || !slicesEqual(a.BRefs, b.BRefs):
+		return "lists"
+	case len(a.Blocks) != len(b.Blocks):
+		return "block count"
+	}
+	for i := range a.Blocks {
+		if a.Blocks[i].Q != b.Blocks[i].Q {
+			return "block edge"
 		}
-		if !slicesEqual(got.Digests, m.Digests) || !slicesEqual(got.HaveBits, m.HaveBits) ||
-			!slicesEqual(got.ARefs, m.ARefs) || !slicesEqual(got.BRefs, m.BRefs) {
-			t.Errorf("%s: lists mangled: sent %+v got %+v", m.Kind, m, got)
-		}
-		if len(got.Blocks) != len(m.Blocks) {
-			t.Fatalf("%s: %d blocks back, sent %d", m.Kind, len(got.Blocks), len(m.Blocks))
-		}
-		for i := range m.Blocks {
-			if got.Blocks[i].MaxAbsDiff(m.Blocks[i]) != 0 {
-				t.Errorf("%s: block %d not bitwise identical", m.Kind, i)
+		for j, v := range a.Blocks[i].Data {
+			if math.Float64bits(v) != math.Float64bits(b.Blocks[i].Data[j]) {
+				return "block payload"
 			}
 		}
+	}
+	return ""
+}
+
+// TestProtoRoundTripEveryKind encodes and decodes one message of every
+// protocol kind and checks all fields survive bit-for-bit.
+func TestProtoRoundTripEveryKind(t *testing.T) {
+	for _, m := range everyKind(t) {
+		if d := msgDiff(roundTrip(t, m), m); d != "" {
+			t.Errorf("%s: %s mangled", m.Kind, d)
+		}
+	}
+}
+
+// FuzzReadMsg feeds arbitrary bytes to the frame decoder: it must never
+// panic, and whatever it accepts must re-encode into a frame that decodes
+// to the same fields.
+func FuzzReadMsg(f *testing.F) {
+	for _, m := range everyKind(f) {
+		var buf bytes.Buffer
+		if err := WriteMsg(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadMsg(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteMsg(&buf, m); err != nil {
+			t.Fatalf("decoded %s does not re-encode: %v", m.Kind, err)
+		}
+		again, err := ReadMsg(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded %s does not decode: %v", m.Kind, err)
+		}
+		if d := msgDiff(again, m); d != "" {
+			t.Fatalf("%s: %s differ after re-encoding", m.Kind, d)
+		}
+	})
+}
+
+// TestProtoListCountsBoundedByFrame sends frames whose list counts promise
+// far more entries than the frame carries: the decoder must fail without
+// allocating for the promised entries.
+func TestProtoListCountsBoundedByFrame(t *testing.T) {
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	cases := []struct {
+		name string
+		kind MsgKind
+		body []byte
+	}{
+		{"have digests", MsgHave, u32(1 << 22)},
+		{"have-ack answers", MsgHaveAck, append([]byte{1}, u32(1<<30)...)},
+		{"install refs", MsgInstall, append(make([]byte, 16+12), u32(1<<22)...)},
+		{"chunk block edge", MsgChunk, append(append(make([]byte, 16), u32(1)...), append(u32(0x424c4b31), u32(1<<14)...)...)},
+	}
+	for _, c := range cases {
+		frame := make([]byte, FrameHeaderLen, FrameHeaderLen+len(c.body))
+		putFrameHeader(frame, c.kind, len(c.body))
+		frame = append(frame, c.body...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadMsg(bytes.NewReader(frame))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: %d-byte frame accepted", c.name, len(frame))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: %d-byte frame allocated %d bytes before failing", c.name, len(frame), grew)
+		}
+	}
+}
+
+// TestProtoRejectsOtherVersion checks a previous-version worker fails
+// registration with an error naming both frame magics.
+func TestProtoRejectsOtherVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// A version-1 hello: heartbeat ms, name length, name.
+		body := append(binary.LittleEndian.AppendUint32(nil, 500), 2, 0, 'v', '1')
+		frame := make([]byte, FrameHeaderLen)
+		PutFrameHeader(frame, 0x4d4d5031, uint8(MsgHello), len(body))
+		conn.Write(append(frame, body...))
+		io.Copy(io.Discard, conn)
+	}()
+	_, err = DialWorkerContext(context.Background(), ln.Addr().String(), &MasterOptions{DialTimeout: 5 * time.Second})
+	if err == nil || !strings.Contains(err.Error(), `"MMP1"`) || !strings.Contains(err.Error(), `"MMP2"`) {
+		t.Fatalf("v1 hello: got %v, want an error naming MMP1 and MMP2", err)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestRedundantLoopbackAbsorbsStalledWorker(t *testing.T) {
 		red.Units = append(red.Units, engine.RedundantUnit{Worker: (j.Worker + 1) % pl.P(), Job: ji})
 	}
 
-	m, err := Dial(addrs, &MasterOptions{IOTimeout: 10 * time.Second})
+	m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRedundantLoopbackCancelKeepsHealthyLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Dial(addrs, &MasterOptions{IOTimeout: 10 * time.Second})
+	m, err := DialContext(context.Background(), addrs, &MasterOptions{IOTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

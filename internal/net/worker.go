@@ -51,13 +51,8 @@ type WorkerOptions struct {
 	// worker answers every handshake "cache off" and masters fall back to
 	// full transfers).
 	Cache *cache.PanelCache
-	// Logf, when non-nil, receives serve-loop events (registrations,
-	// session ends) rendered as plain text. Superseded by Logger when both
-	// are set.
-	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives serve-loop events as structured
-	// records (worker name, remote address, error attrs). Takes precedence
-	// over Logf.
+	// records (worker name, remote address, error attrs). Nil discards them.
 	Logger *slog.Logger
 }
 
@@ -75,14 +70,11 @@ func (o WorkerOptions) idleTimeout() time.Duration {
 	return 2 * time.Minute
 }
 
-// logger resolves the session logger: explicit Logger first, then the
-// legacy printf callback bridged through obs.LogfLogger, then discard.
+// logger resolves the session logger: Logger tagged with the worker name,
+// or a discarding one.
 func (o WorkerOptions) logger(name string) *slog.Logger {
-	switch {
-	case o.Logger != nil:
+	if o.Logger != nil {
 		return o.Logger.With("worker", name)
-	case o.Logf != nil:
-		return obs.LogfLogger(o.Logf).With("worker", name)
 	}
 	return obs.NopLogger()
 }
@@ -300,16 +292,26 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 			if msg.Chunk != cur {
 				return fmt.Errorf("net: worker %s: inputs for %v while holding %v", name, msg.Chunk, cur)
 			}
+			// Without refs every block is on the wire and the panels are
+			// consumed once applied. A digest-addressed installment is
+			// rebuilt around the cache: only the wire blocks pending did not
+			// absorb are recyclable — absorbed ones are promised to the
+			// cache, resident ones belong to it already.
 			d := msg.K1 - msg.K0
-			if d <= 0 || len(msg.Blocks) != d*(cur.H+cur.W) {
-				return fmt.Errorf("net: worker %s: install payload %d blocks for %v depth %d", name, len(msg.Blocks), cur, d)
+			var am, bm, extras []*matrix.Block
+			var err error
+			if len(msg.ARefs)+len(msg.BRefs) == 0 {
+				if d <= 0 || len(msg.Blocks) != d*(cur.H+cur.W) {
+					return fmt.Errorf("net: worker %s: install payload %d blocks for %v depth %d", name, len(msg.Blocks), cur, d)
+				}
+				am, bm, extras = msg.Blocks[:cur.H*d], msg.Blocks[cur.H*d:], msg.Blocks
+			} else if am, bm, extras, err = assembleInstall(msg, cur, opts.Cache, pending); err != nil {
+				return fmt.Errorf("net: worker %s: %w", name, err)
 			}
-			am, bm := msg.Blocks[:cur.H*d], msg.Blocks[cur.H*d:]
 			if err := engine.ApplyInstallmentParallel(cur, blocks, am, bm, d, opts.Procs); err != nil {
 				return fmt.Errorf("net: worker %s: %w", name, err)
 			}
-			// The panels are consumed; recycle them for the next decode.
-			pool.PutAll(msg.Blocks)
+			pool.PutAll(extras)
 			installs++
 			if opts.CrashAfterInstalls > 0 && installs >= opts.CrashAfterInstalls {
 				conn.Close() // simulate a killed process: vanish mid-protocol
@@ -399,36 +401,6 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 			}
 			if err := write(ack); err != nil {
 				return fmt.Errorf("net: worker %s: send have-ack: %w", name, err)
-			}
-		case MsgInstallD:
-			if blocks == nil {
-				return fmt.Errorf("net: worker %s: received inputs with no chunk", name)
-			}
-			if msg.Chunk != cur {
-				return fmt.Errorf("net: worker %s: inputs for %v while holding %v", name, msg.Chunk, cur)
-			}
-			am, bm, extras, err := assembleInstallD(msg, cur, opts.Cache, pending)
-			if err != nil {
-				return fmt.Errorf("net: worker %s: %w", name, err)
-			}
-			if err := engine.ApplyInstallmentParallel(cur, blocks, am, bm, msg.K1-msg.K0, opts.Procs); err != nil {
-				return fmt.Errorf("net: worker %s: %w", name, err)
-			}
-			// Only the wire blocks pending did not absorb are recyclable:
-			// absorbed ones are promised to the cache, resident ones belong
-			// to it already.
-			pool.PutAll(extras)
-			installs++
-			if opts.CrashAfterInstalls > 0 && installs >= opts.CrashAfterInstalls {
-				conn.Close() // simulate a killed process: vanish mid-protocol
-				return ErrCrashInjected
-			}
-			if opts.StallAfterInstalls > 0 && installs == opts.StallAfterInstalls {
-				stall := opts.StallFor
-				if stall <= 0 {
-					stall = 30 * time.Second
-				}
-				time.Sleep(stall)
 			}
 		case MsgHeartbeat:
 			// Master keepalive for a pooled idle session (a fleet pinging

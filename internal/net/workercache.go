@@ -29,21 +29,21 @@ func (p *pendingPanel) compact() []*matrix.Block {
 	return out
 }
 
-// assembleInstallD reconstructs a digest-addressed installment's full A/B
+// assembleInstall reconstructs a digest-addressed installment's full A/B
 // panel lists: resident panels come from the cache, the rest from the
-// frame's payload — whose block order is MsgInstall's order minus the
-// omissions (included A rows row-major, then B blocks k-major with resident
+// frame's payload — whose block order is a plain installment's order minus
+// the omissions (included A rows row-major, then B blocks k-major with resident
 // columns skipped per k). Wire blocks are absorbed into pending as they
 // pass; the returned extras are the ones pending had no vacancy for
 // (duplicate-digest contributions), which the caller recycles after the
 // installment is applied.
-func assembleInstallD(msg *Msg, cur matrix.Chunk, pc *cache.PanelCache, pending map[cache.Digest]*pendingPanel) (am, bm, extras []*matrix.Block, err error) {
+func assembleInstall(msg *Msg, cur matrix.Chunk, pc *cache.PanelCache, pending map[cache.Digest]*pendingPanel) (am, bm, extras []*matrix.Block, err error) {
 	d := msg.K1 - msg.K0
 	if d <= 0 || msg.K0 < 0 || msg.K1 > msg.T || msg.T > maxPanelRefs {
-		return nil, nil, nil, fmt.Errorf("install-digest range [%d,%d) of depth %d", msg.K0, msg.K1, msg.T)
+		return nil, nil, nil, fmt.Errorf("digest install range [%d,%d) of depth %d", msg.K0, msg.K1, msg.T)
 	}
 	if len(msg.ARefs) != cur.H || len(msg.BRefs) != cur.W {
-		return nil, nil, nil, fmt.Errorf("install-digest refs %d×%d for chunk %v", len(msg.ARefs), len(msg.BRefs), cur)
+		return nil, nil, nil, fmt.Errorf("digest install refs %d×%d for chunk %v", len(msg.ARefs), len(msg.BRefs), cur)
 	}
 	wired := 0
 	for _, r := range msg.ARefs {
@@ -57,12 +57,12 @@ func assembleInstallD(msg *Msg, cur matrix.Chunk, pc *cache.PanelCache, pending 
 		}
 	}
 	if len(msg.Blocks) != wired {
-		return nil, nil, nil, fmt.Errorf("install-digest payload %d blocks, expected %d", len(msg.Blocks), wired)
+		return nil, nil, nil, fmt.Errorf("digest install payload %d blocks, expected %d", len(msg.Blocks), wired)
 	}
 
 	resident := func(dg cache.Digest) ([]*matrix.Block, error) {
 		if pc == nil {
-			return nil, fmt.Errorf("install-digest references resident panel %v but caching is off", dg)
+			return nil, fmt.Errorf("digest install references resident panel %v but caching is off", dg)
 		}
 		pb := pc.Get(dg)
 		if len(pb) != msg.T {
@@ -70,7 +70,7 @@ func assembleInstallD(msg *Msg, cur matrix.Chunk, pc *cache.PanelCache, pending 
 			// promised panels are pinned, so absence is a protocol breach,
 			// not an eviction race. Failing the session is the safe answer:
 			// the master fails over and replays the chunk elsewhere.
-			return nil, fmt.Errorf("install-digest references panel %v: not resident", dg)
+			return nil, fmt.Errorf("digest install references panel %v: not resident", dg)
 		}
 		return pb, nil
 	}

@@ -44,10 +44,9 @@ func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 // helpers below use it so callers never have to nil-check.
 func NopLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
 
-// LogfLogger bridges the runtime's long-standing `Logf func(format,
-// args...)` option fields (wired to t.Logf in tests and log.Printf in the
-// binaries) into the slog world: records render as "msg key=value ..."
-// through the printf callback, so existing sinks keep working unchanged.
+// LogfLogger renders slog records as "msg key=value ..." through a
+// printf-style callback such as testing.T.Logf, so a test can route a
+// component's Logger into its own log output. A nil callback discards.
 func LogfLogger(logf func(format string, args ...any)) *slog.Logger {
 	if logf == nil {
 		return NopLogger()

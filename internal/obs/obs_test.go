@@ -50,7 +50,7 @@ func TestNewLogger(t *testing.T) {
 	}
 }
 
-// TestLogfLogger checks the bridge into the legacy printf callbacks: records
+// TestLogfLogger checks the bridge into printf-style callbacks: records
 // render as "msg key=value", attrs and groups accumulate, debug is dropped.
 func TestLogfLogger(t *testing.T) {
 	var lines []string
@@ -72,7 +72,10 @@ func TestLogfLogger(t *testing.T) {
 
 // TestDebugMux scrapes the endpoints the binaries expose behind -debug-addr.
 func TestDebugMux(t *testing.T) {
-	NewCounter("muxtest_total", "present in the default registry").Inc()
+	// The default registry outlives one run under -count n, so the counter
+	// may hold earlier runs' increments: expect its own current value.
+	muxtest := NewCounter("muxtest_total", "present in the default registry")
+	muxtest.Inc()
 	healthy := true
 	srv := httptest.NewServer(NewMux(func() Health {
 		return Health{OK: healthy, Payload: map[string]any{"component": "test"}}
@@ -91,7 +94,7 @@ func TestDebugMux(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("/metrics content-type %q", ct)
 	}
-	if !strings.Contains(string(body), "muxtest_total 1") {
+	if want := fmt.Sprintf("muxtest_total %d\n", muxtest.Value()); !strings.Contains(string(body), want) {
 		t.Errorf("/metrics misses the registered family:\n%s", body)
 	}
 

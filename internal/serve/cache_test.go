@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/matrix"
 	mmnet "repro/internal/net"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sched"
 )
@@ -84,7 +85,7 @@ func TestServerCacheAffinitySavesBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	inst := sched.Instance{R: 6, S: 8, T: 4}
@@ -145,7 +146,7 @@ func TestServerRedialInvalidatesResidency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	a, b, c, want := testMatrices(t, sched.Instance{R: 4, S: 6, T: 3}, 4, 710)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -46,11 +47,9 @@ type FleetOptions struct {
 	// heartbeat backlog drained (so the socket buffer never fills while a
 	// session waits). Default 15s; negative disables.
 	Keepalive time.Duration
-	// Logf, when non-nil, receives fleet events (redials, downed workers)
-	// rendered as plain text. Superseded by Logger when both are set.
-	Logf func(format string, args ...any)
-	// Logger, when non-nil, receives fleet events as structured records
-	// carrying worker index and address attrs. Takes precedence over Logf.
+	// Logger, when non-nil, receives fleet events (redials, downed workers)
+	// as structured records carrying worker index and address attrs. Nil
+	// discards them.
 	Logger *slog.Logger
 }
 
@@ -61,14 +60,10 @@ func (o FleetOptions) keepalive() time.Duration {
 	return 15 * time.Second
 }
 
-// logger resolves the fleet's logger: explicit Logger first, then the
-// legacy printf callback bridged through obs.LogfLogger, then discard.
+// logger resolves the fleet's logger: Logger, or a discarding one.
 func (o FleetOptions) logger() *slog.Logger {
-	switch {
-	case o.Logger != nil:
+	if o.Logger != nil {
 		return o.Logger
-	case o.Logf != nil:
-		return obs.LogfLogger(o.Logf)
 	}
 	return obs.NopLogger()
 }
@@ -211,7 +206,7 @@ func NewFleet(addrs []string, specs []platform.Worker, opts FleetOptions) (*Flee
 // fleet lock must be held (or the fleet not yet shared).
 func (f *Fleet) redialLocked(i int) bool {
 	f.lastDial[i] = time.Now()
-	wc, err := mmnet.DialWorker(f.addrs[i], &f.opts.Master)
+	wc, err := mmnet.DialWorkerContext(context.TODO(), f.addrs[i], &f.opts.Master)
 	if err != nil {
 		f.downLocked(i)
 		f.log.Warn("worker down", "worker", i, "addr", f.addrs[i], "err", err)
@@ -270,7 +265,7 @@ func (f *Fleet) Add(addr string, spec platform.Worker) (int, error) {
 	}
 	// Dial outside the lock: a slow or unroutable address must not block
 	// Lease/Return/Idle while we wait on the connect.
-	wc, err := mmnet.DialWorker(addr, &f.opts.Master)
+	wc, err := mmnet.DialWorkerContext(context.TODO(), addr, &f.opts.Master)
 
 	f.mu.Lock()
 	if f.closed {
@@ -390,7 +385,7 @@ func (f *Fleet) Idle() []int {
 // into the pool. It owns worker i's dialing flag for the duration.
 func (f *Fleet) redial(i int) {
 	defer f.dials.Done()
-	wc, err := mmnet.DialWorker(f.addrs[i], &f.opts.Master)
+	wc, err := mmnet.DialWorkerContext(context.Background(), f.addrs[i], &f.opts.Master)
 	f.mu.Lock()
 	f.dialing[i] = false
 	closed := f.closed

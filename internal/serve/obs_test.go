@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -23,7 +24,7 @@ func TestTraceExportAndMetricsAgree(t *testing.T) {
 	}
 	defer f.Close()
 	dir := t.TempDir()
-	s := NewServer(f, Config{Logf: t.Logf, TraceDir: dir})
+	s := NewServer(f, Config{Logger: obs.LogfLogger(t.Logf), TraceDir: dir})
 	defer s.Close()
 
 	// The obs registry is process-global, so compare before/after deltas:

@@ -34,7 +34,7 @@ import (
 type clientKind uint8
 
 const (
-	cSubmit    clientKind = iota + 1 // client → server: R,S,T,Q + A,B,C blocks
+	cSubmit    clientKind = iota + 1 // client → server: R,S,T,Q + class + panel digests + A,B,C blocks
 	cAccept                          // server → client: job id (admitted to the queue)
 	cResult                          // server → client: job id + updated C blocks
 	cError                           // server → client: job id (0 = rejected) + message
@@ -42,10 +42,8 @@ const (
 	cStats                           // server → client: Stats as JSON
 	cCancel                          // client → server: job id — cancel the submitted job
 	cJoin                            // client → server: worker addr + spec — register with the fleet
-	cSubmitD                         // client → server: cSubmit + the operands' panel digests
 	cTrace                           // client → server: job id — fetch the job's recorded timeline
 	cTraceData                       // server → client: job id + the timeline as JSON
-	cSubmitC                         // client → server: cSubmitD + the job's SLO class (digest lists may be empty)
 )
 
 func (k clientKind) String() string {
@@ -66,21 +64,20 @@ func (k clientKind) String() string {
 		return "cancel"
 	case cJoin:
 		return "join"
-	case cSubmitD:
-		return "submit-digest"
 	case cTrace:
 		return "trace"
 	case cTraceData:
 		return "trace-data"
-	case cSubmitC:
-		return "submit-class"
 	default:
 		return fmt.Sprintf("clientkind(%d)", uint8(k))
 	}
 }
 
 const (
-	clientMagic    = 0x4d4d5331 // "MMS1"
+	// clientMagic versions the client protocol the way the worker
+	// protocol's magic versions that one: an old client or daemon fails its
+	// first frame header instead of misparsing.
+	clientMagic    = 0x4d4d5332 // "MMS2"
 	maxClientFrame = 1 << 31    // 2 GiB: three operands of a large product
 	maxErrLen      = 1 << 16
 	maxStatsLen    = 1 << 24
@@ -98,11 +95,11 @@ type clientMsg struct {
 	SpecC      float64         // Join: declared link cost c_i
 	SpecW      float64         // Join: declared compute cost w_i
 	SpecM      int             // Join: declared memory capacity m_i (blocks)
-	Rows, Cols []cache.Digest  // SubmitD/SubmitC: A row-panel / B column-panel digests
-	Class      JobClass        // SubmitC: the job's SLO class
+	Rows, Cols []cache.Digest  // Submit: A row-panel / B column-panel digests; empty = none
+	Class      JobClass        // Submit: the job's SLO class
 }
 
-// maxDigestList bounds one digest list of a submit-digest frame.
+// maxDigestList bounds one digest list of a submit frame.
 const maxDigestList = 1 << 22
 
 // maxAddrLen bounds a join frame's address field.
@@ -118,16 +115,10 @@ func clientPayloadLen(m *clientMsg) (int, error) {
 	}
 	switch m.Kind {
 	case cSubmit:
-		return 16 + blocksLen(), nil
-	case cSubmitD, cSubmitC:
 		if len(m.Rows) > maxDigestList || len(m.Cols) > maxDigestList {
-			return 0, fmt.Errorf("serve: %s frame lists %d+%d digests", m.Kind, len(m.Rows), len(m.Cols))
+			return 0, fmt.Errorf("serve: submit frame lists %d+%d digests", len(m.Rows), len(m.Cols))
 		}
-		n := 16 + 4 + cache.DigestLen*len(m.Rows) + 4 + cache.DigestLen*len(m.Cols) + blocksLen()
-		if m.Kind == cSubmitC {
-			n++ // the class byte between the dims and the digest lists
-		}
-		return n, nil
+		return 16 + 1 + 4 + cache.DigestLen*len(m.Rows) + 4 + cache.DigestLen*len(m.Cols) + blocksLen(), nil
 	case cAccept, cCancel, cTrace:
 		return 8, nil
 	case cTraceData:
@@ -174,31 +165,25 @@ func writeClientMsg(w io.Writer, m *clientMsg, bc *matrix.BlockCodec) error {
 		return fmt.Errorf("serve: write frame header: %w", err)
 	}
 	switch m.Kind {
-	case cSubmit, cSubmitD, cSubmitC:
-		var dims [16]byte
+	case cSubmit:
+		var dims [17]byte
 		binary.LittleEndian.PutUint32(dims[0:4], uint32(m.R))
 		binary.LittleEndian.PutUint32(dims[4:8], uint32(m.S))
 		binary.LittleEndian.PutUint32(dims[8:12], uint32(m.T))
 		binary.LittleEndian.PutUint32(dims[12:16], uint32(m.Q))
+		dims[16] = byte(m.Class)
 		if _, err := w.Write(dims[:]); err != nil {
 			return fmt.Errorf("serve: write submit dims: %w", err)
 		}
-		if m.Kind == cSubmitC {
-			if _, err := w.Write([]byte{byte(m.Class)}); err != nil {
-				return fmt.Errorf("serve: write submit class: %w", err)
+		for _, ds := range [][]cache.Digest{m.Rows, m.Cols} {
+			var cnt [4]byte
+			binary.LittleEndian.PutUint32(cnt[:], uint32(len(ds)))
+			if _, err := w.Write(cnt[:]); err != nil {
+				return err
 			}
-		}
-		if m.Kind == cSubmitD || m.Kind == cSubmitC {
-			for _, ds := range [][]cache.Digest{m.Rows, m.Cols} {
-				var cnt [4]byte
-				binary.LittleEndian.PutUint32(cnt[:], uint32(len(ds)))
-				if _, err := w.Write(cnt[:]); err != nil {
+			for _, d := range ds {
+				if _, err := w.Write(d[:]); err != nil {
 					return err
-				}
-				for _, d := range ds {
-					if _, err := w.Write(d[:]); err != nil {
-						return err
-					}
 				}
 			}
 		}
@@ -284,8 +269,8 @@ func readClientMsg(r io.Reader, bc *matrix.BlockCodec) (*clientMsg, error) {
 
 	m := &clientMsg{Kind: kind}
 	switch kind {
-	case cSubmit, cSubmitD, cSubmitC:
-		var dims [16]byte
+	case cSubmit:
+		var dims [17]byte
 		if _, err = io.ReadFull(buf, dims[:]); err != nil {
 			break
 		}
@@ -293,38 +278,16 @@ func readClientMsg(r io.Reader, bc *matrix.BlockCodec) (*clientMsg, error) {
 		m.S = int(int32(binary.LittleEndian.Uint32(dims[4:8])))
 		m.T = int(int32(binary.LittleEndian.Uint32(dims[8:12])))
 		m.Q = int(int32(binary.LittleEndian.Uint32(dims[12:16])))
-		if kind == cSubmitC {
-			var cls [1]byte
-			if _, err = io.ReadFull(buf, cls[:]); err != nil {
-				break
-			}
-			m.Class = JobClass(cls[0])
+		m.Class = JobClass(dims[16])
+		digest := func(b []byte) (d cache.Digest) {
+			copy(d[:], b)
+			return d
 		}
-		if kind == cSubmitD || kind == cSubmitC {
-			lists := [2]*[]cache.Digest{&m.Rows, &m.Cols}
-			for _, dst := range lists {
-				var cnt [4]byte
-				if _, err = io.ReadFull(buf, cnt[:]); err != nil {
-					break
-				}
-				n := int(binary.LittleEndian.Uint32(cnt[:]))
-				if n > maxDigestList {
-					return nil, fmt.Errorf("serve: submit-digest frame lists %d digests", n)
-				}
-				ds := make([]cache.Digest, n)
-				for i := range ds {
-					if _, err = io.ReadFull(buf, ds[i][:]); err != nil {
-						break
-					}
-				}
-				if err != nil {
-					break
-				}
-				*dst = ds
-			}
-			if err != nil {
-				break
-			}
+		if m.Rows, err = mmnet.ReadList(buf, cache.DigestLen, digest); err != nil {
+			break
+		}
+		if m.Cols, err = mmnet.ReadList(buf, cache.DigestLen, digest); err != nil {
+			break
 		}
 		m.Blocks, err = bc.ReadBlocks(buf)
 	case cAccept, cCancel, cTrace:
@@ -339,12 +302,7 @@ func readClientMsg(r io.Reader, bc *matrix.BlockCodec) (*clientMsg, error) {
 			break
 		}
 		m.ID = binary.LittleEndian.Uint64(pre[0:8])
-		traceLen := int(binary.LittleEndian.Uint32(pre[8:12]))
-		if traceLen > maxStatsLen {
-			return nil, fmt.Errorf("serve: trace payload %d bytes long", traceLen)
-		}
-		m.Stats = make([]byte, traceLen)
-		_, err = io.ReadFull(buf, m.Stats)
+		m.Stats, err = readBytes(buf, binary.LittleEndian.Uint32(pre[8:12]), maxStatsLen)
 	case cResult:
 		var id [8]byte
 		if _, err = io.ReadFull(buf, id[:]); err != nil {
@@ -358,14 +316,8 @@ func readClientMsg(r io.Reader, bc *matrix.BlockCodec) (*clientMsg, error) {
 			break
 		}
 		m.ID = binary.LittleEndian.Uint64(pre[0:8])
-		msgLen := int(binary.LittleEndian.Uint32(pre[8:12]))
-		if msgLen > maxErrLen {
-			return nil, fmt.Errorf("serve: error message %d bytes long", msgLen)
-		}
-		text := make([]byte, msgLen)
-		if _, err = io.ReadFull(buf, text); err != nil {
-			break
-		}
+		var text []byte
+		text, err = readBytes(buf, binary.LittleEndian.Uint32(pre[8:12]), maxErrLen)
 		m.Err = string(text)
 	case cStatus:
 		// empty payload
@@ -374,23 +326,14 @@ func readClientMsg(r io.Reader, bc *matrix.BlockCodec) (*clientMsg, error) {
 		if _, err = io.ReadFull(buf, cnt[:]); err != nil {
 			break
 		}
-		statsLen := int(binary.LittleEndian.Uint32(cnt[:]))
-		if statsLen > maxStatsLen {
-			return nil, fmt.Errorf("serve: stats payload %d bytes long", statsLen)
-		}
-		m.Stats = make([]byte, statsLen)
-		_, err = io.ReadFull(buf, m.Stats)
+		m.Stats, err = readBytes(buf, binary.LittleEndian.Uint32(cnt[:]), maxStatsLen)
 	case cJoin:
 		var cnt [4]byte
 		if _, err = io.ReadFull(buf, cnt[:]); err != nil {
 			break
 		}
-		addrLen := int(binary.LittleEndian.Uint32(cnt[:]))
-		if addrLen > maxAddrLen {
-			return nil, fmt.Errorf("serve: join address %d bytes long", addrLen)
-		}
-		addr := make([]byte, addrLen)
-		if _, err = io.ReadFull(buf, addr); err != nil {
+		var addr []byte
+		if addr, err = readBytes(buf, binary.LittleEndian.Uint32(cnt[:]), maxAddrLen); err != nil {
 			break
 		}
 		m.Addr = string(addr)
@@ -411,6 +354,17 @@ func readClientMsg(r io.Reader, bc *matrix.BlockCodec) (*clientMsg, error) {
 		return nil, fmt.Errorf("serve: %s frame has %d trailing bytes", kind, buf.N)
 	}
 	return m, nil
+}
+
+// readBytes reads an n-byte field of a frame body, rejecting one longer than
+// limit or than what remains of the frame before allocating for it.
+func readBytes(r *io.LimitedReader, n uint32, limit int) ([]byte, error) {
+	if int64(n) > int64(limit) || int64(n) > r.N {
+		return nil, fmt.Errorf("%d-byte field exceeds its %d-byte limit or the frame's remaining %d bytes", n, limit, r.N)
+	}
+	b := make([]byte, n)
+	_, err := io.ReadFull(r, b)
+	return b, err
 }
 
 // flattenMatrix lists a matrix's blocks in row-major order, materializing
@@ -516,7 +470,7 @@ func (s *Server) handleClient(conn net.Conn) {
 		}
 		reply(&clientMsg{Kind: cAccept, ID: uint64(i)})
 
-	case cSubmit, cSubmitD, cSubmitC:
+	case cSubmit:
 		nA, nB, nC := msg.R*msg.T, msg.T*msg.S, msg.R*msg.S
 		if msg.R <= 0 || msg.S <= 0 || msg.T <= 0 || msg.Q <= 0 || len(msg.Blocks) != nA+nB+nC {
 			fail(0, fmt.Errorf("serve: submit carries %d blocks for r=%d s=%d t=%d", len(msg.Blocks), msg.R, msg.S, msg.T))
@@ -537,12 +491,12 @@ func (s *Server) handleClient(conn net.Conn) {
 			fail(0, err)
 			return
 		}
-		// The client computed the operands' panel digests already (an
-		// installed operand resubmitted): skip re-hashing server-side. A
-		// submit-class frame carries the digest lists too, but empty lists
-		// mean "none" (every real operand has ≥ 1 row and column panel).
+		// Non-empty digest lists mean the client computed the operands'
+		// panel digests already (an installed operand resubmitted): skip
+		// re-hashing server-side. Empty lists mean "none" — every real
+		// operand has ≥ 1 row and column panel.
 		var jp *cache.JobPanels
-		if msg.Kind == cSubmitD || (msg.Kind == cSubmitC && len(msg.Rows)+len(msg.Cols) > 0) {
+		if len(msg.Rows)+len(msg.Cols) > 0 {
 			jp = &cache.JobPanels{T: msg.T, Q: msg.Q, ARows: msg.Rows, BCols: msg.Cols}
 		}
 		id, err := s.SubmitClass(a, b, c, jp, msg.Class)
@@ -586,36 +540,21 @@ func (s *Server) handleClient(conn net.Conn) {
 // connection.
 const cancelGrace = 10 * time.Second
 
-// SubmitProductContext is one submission under a context. The dial, the
-// upload, and the wait for the result are all bounded by ctx's deadline —
-// there is no hidden fixed dial budget that can outlive the caller's. If ctx
-// is cancelled while the job queues or runs, a cancel frame is sent so the
-// daemon dequeues or aborts the job (other jobs keep their leases), and the
-// returned error wraps ctx's error.
-func SubmitProductContext(ctx context.Context, addr string, a, b, c *matrix.BlockMatrix) (*matrix.BlockMatrix, uint64, error) {
-	return submitProduct(ctx, addr, a, b, c, nil, ClassStandard)
-}
-
-// SubmitProductPanels is SubmitProductContext carrying the operands' panel
-// digests alongside the blocks, so a caching daemon can route the job by
-// operand affinity and skip worker transfers without re-hashing A and B. jp
-// must describe exactly these operands (see cache.PanelsForJob; the matmul
-// facade's Operand handles memoize it); nil degrades to a plain submission.
-// A non-caching daemon ignores the digests.
-func SubmitProductPanels(ctx context.Context, addr string, a, b, c *matrix.BlockMatrix, jp *cache.JobPanels) (*matrix.BlockMatrix, uint64, error) {
-	return submitProduct(ctx, addr, a, b, c, jp, ClassStandard)
-}
-
-// SubmitProductClass is SubmitProductPanels with an explicit SLO class: the
-// daemon's priority queue policy orders dispatch by it and admission control
-// buckets by it (see Config.QueuePolicy). jp may be nil. A standard-class
-// submission stays on the pre-class frames, so old daemons keep working;
-// declaring another class needs a daemon that understands the class frame.
+// SubmitProductClass submits C ← C + A·B to the daemon at addr and waits
+// for the updated C. jp, when non-nil, carries the operands' panel digests
+// so a caching daemon can route the job by operand affinity and skip worker
+// transfers without re-hashing A and B; it must describe exactly these
+// operands (see cache.PanelsForJob; the matmul facade's Operand handles
+// memoize it), and a non-caching daemon ignores it. class is the job's SLO
+// class: the daemon's priority queue policy orders dispatch by it and
+// admission control buckets by it (see Config.QueuePolicy).
+//
+// The dial, the upload, and the wait for the result are all bounded by
+// ctx's deadline — there is no hidden fixed dial budget that can outlive the
+// caller's. If ctx is cancelled while the job queues or runs, a cancel frame
+// is sent so the daemon dequeues or aborts the job (other jobs keep their
+// leases), and the returned error wraps ctx's error.
 func SubmitProductClass(ctx context.Context, addr string, a, b, c *matrix.BlockMatrix, jp *cache.JobPanels, class JobClass) (*matrix.BlockMatrix, uint64, error) {
-	return submitProduct(ctx, addr, a, b, c, jp, class)
-}
-
-func submitProduct(ctx context.Context, addr string, a, b, c *matrix.BlockMatrix, jp *cache.JobPanels, class JobClass) (*matrix.BlockMatrix, uint64, error) {
 	if a == nil || b == nil || c == nil {
 		return nil, 0, fmt.Errorf("serve: submit needs A, B and C")
 	}
@@ -637,12 +576,9 @@ func submitProduct(ctx context.Context, addr string, a, b, c *matrix.BlockMatrix
 	blocks = append(blocks, flattenMatrix(a)...)
 	blocks = append(blocks, flattenMatrix(b)...)
 	blocks = append(blocks, flattenMatrix(c)...)
-	sub := &clientMsg{Kind: cSubmit, R: c.Rows, S: c.Cols, T: a.Cols, Q: a.Q, Blocks: blocks}
+	sub := &clientMsg{Kind: cSubmit, R: c.Rows, S: c.Cols, T: a.Cols, Q: a.Q, Class: class, Blocks: blocks}
 	if jp != nil {
-		sub.Kind, sub.Rows, sub.Cols = cSubmitD, jp.ARows, jp.BCols
-	}
-	if class != ClassStandard {
-		sub.Kind, sub.Class = cSubmitC, class
+		sub.Rows, sub.Cols = jp.ARows, jp.BCols
 	}
 	err = writeClientMsg(wr, sub, &codec)
 	if err == nil {
@@ -741,20 +677,9 @@ func clientErr(ctx context.Context, err error) error {
 	return err
 }
 
-// FetchStats asks the daemon at addr for its service snapshot. timeout
-// bounds the whole exchange, dial included.
-func FetchStats(addr string, timeout time.Duration) (*Stats, error) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return FetchStatsContext(ctx, addr)
-}
-
-// FetchStatsContext is FetchStats under a context: cancelling ctx
-// interrupts the exchange even when ctx carries no deadline.
+// FetchStatsContext asks the daemon at addr for its service snapshot. ctx
+// bounds the whole exchange, dial included; cancelling it interrupts the
+// exchange even when ctx carries no deadline.
 func FetchStatsContext(ctx context.Context, addr string) (*Stats, error) {
 	conn, err := dialClient(ctx, addr)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/matrix"
 	mmnet "repro/internal/net"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -122,7 +123,7 @@ func oneWorkerStalledServer(t *testing.T, cfg Config, stallFor time.Duration) *S
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Close)
-	cfg.Logf = t.Logf
+	cfg.Logger = obs.LogfLogger(t.Logf)
 	s := NewServer(f, cfg)
 	t.Cleanup(s.Close)
 	return s
@@ -487,21 +488,13 @@ func TestAdmissionRejectsAtSubmit(t *testing.T) {
 	}
 }
 
-// TestSubmitClassFrameRoundTrip pins the cSubmitC wire format: dims, class
-// byte, optional digest lists and blocks all survive encode/decode, with
-// empty digest lists meaning "no digests" unambiguously.
+// TestSubmitClassFrameRoundTrip pins the classed cSubmit wire format: dims,
+// class byte, digest lists and blocks all survive encode/decode, with empty
+// digest lists meaning "no digests" unambiguously.
 func TestSubmitClassFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	blocks := func(n, q int) []*matrix.Block {
-		out := make([]*matrix.Block, n)
-		for i := range out {
-			out[i] = matrix.NewBlock(q)
-			out[i].FillRandom(rng)
-		}
-		return out
-	}
-	msg := &clientMsg{Kind: cSubmitC, R: 2, S: 3, T: 2, Q: 4, Class: ClassInteractive,
-		Blocks: blocks(2*2+2*3+2*3, 4)}
+	msg := &clientMsg{Kind: cSubmit, R: 2, S: 3, T: 2, Q: 4, Class: ClassInteractive,
+		Blocks: testBlocks(rng, 2*2+2*3+2*3, 4)}
 	var buf bytes.Buffer
 	if err := writeClientMsg(&buf, msg, nil); err != nil {
 		t.Fatal(err)
@@ -510,7 +503,7 @@ func TestSubmitClassFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != cSubmitC || got.Class != ClassInteractive ||
+	if got.Kind != cSubmit || got.Class != ClassInteractive ||
 		got.R != 2 || got.S != 3 || got.T != 2 || got.Q != 4 {
 		t.Errorf("fields mangled: %+v", got)
 	}
@@ -529,8 +522,8 @@ func TestSubmitClassFrameRoundTrip(t *testing.T) {
 
 // TestSubmitProductClassEndToEnd submits a classed product over the real
 // client protocol and checks the class is visible daemon-side and the result
-// is bitwise-correct; a standard-class submission through the same API stays
-// on the legacy frame (wire compat with pre-class daemons).
+// is bitwise-correct, and that a standard-class submission through the same
+// API is too.
 func TestSubmitProductClassEndToEnd(t *testing.T) {
 	s := oneWorkerServer(t, Config{QueuePolicy: PolicyPriority, NoCache: true})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -566,11 +559,11 @@ func TestSubmitProductClassEndToEnd(t *testing.T) {
 	}
 
 	a2, b2, c2, want2 := testMatrices(t, inst, 8, 92)
-	out2, _, err := SubmitProductContext(ctx, daemon, a2, b2, c2)
+	out2, _, err := SubmitProductClass(ctx, daemon, a2, b2, c2, nil, ClassStandard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := out2.MaxAbsDiff(want2); d != 0 {
-		t.Errorf("legacy-frame C differs from the oracle by %g", d)
+		t.Errorf("standard-class C differs from the oracle by %g", d)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	mmnet "repro/internal/net"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -21,7 +22,7 @@ func TestDaemonRedundancyStatsAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "replicated", RedundancyFactor: 2, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "replicated", RedundancyFactor: 2, Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -36,7 +37,7 @@ func TestDaemonRedundancyStatsAndTrace(t *testing.T) {
 	a, b, c, want := testMatrices(t, inst, 8, 700)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
+	got, id, err := SubmitProductClass(ctx, daemon, a, b, c, nil, ClassStandard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestDaemonRedundancyStatsAndTrace(t *testing.T) {
 		t.Errorf("C differs from the serial reference by %g (want bitwise equal: replicated mode commits only systematic results)", d)
 	}
 
-	st, err := FetchStats(daemon, 5*time.Second)
+	st, err := FetchStatsContext(ctx, daemon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestDaemonRedundancyAutoFactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "coded", Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "coded", Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -107,14 +108,14 @@ func TestDaemonRedundancyAutoFactor(t *testing.T) {
 	a, b, c, want := testMatrices(t, inst, 8, 701)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
+	got, id, err := SubmitProductClass(ctx, daemon, a, b, c, nil, ClassStandard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := got.MaxAbsDiff(want); d > 1e-9 {
 		t.Errorf("C differs from reference by %g", d)
 	}
-	st, err := FetchStats(daemon, 5*time.Second)
+	st, err := FetchStatsContext(ctx, daemon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestDaemonRedundancyAbsorbsStalledWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "replicated", RedundancyFactor: 3, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "replicated", RedundancyFactor: 3, Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -162,7 +163,7 @@ func TestDaemonRedundancyAbsorbsStalledWorker(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
+	got, id, err := SubmitProductClass(ctx, daemon, a, b, c, nil, ClassStandard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestDaemonRedundancyAbsorbsStalledWorker(t *testing.T) {
 	if d := got.MaxAbsDiff(want); d != 0 {
 		t.Errorf("C differs from the serial reference by %g (want bitwise equal)", d)
 	}
-	st, err := FetchStats(daemon, 5*time.Second)
+	st, err := FetchStatsContext(ctx, daemon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/matrix"
 	mmnet "repro/internal/net"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sched"
 )
@@ -210,7 +211,7 @@ func TestServerConcurrentJobsDisjointLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	// Big enough that both jobs are still running when we look.
@@ -303,7 +304,7 @@ func TestConcurrentJobCrashIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	inst := sched.Instance{R: 6, S: 9, T: 4}
@@ -389,7 +390,7 @@ func TestClientProtocolLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -412,7 +413,7 @@ func TestClientProtocolLoopback(t *testing.T) {
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			got, _, err := SubmitProductContext(ctx, daemon, a, b, c)
+			got, _, err := SubmitProductClass(ctx, daemon, a, b, c, nil, ClassStandard)
 			results <- result{c: got, want: want, err: err}
 		}()
 	}
@@ -426,7 +427,7 @@ func TestClientProtocolLoopback(t *testing.T) {
 		}
 	}
 
-	st, err := FetchStats(daemon, 5*time.Second)
+	st, err := FetchStatsContext(t.Context(), daemon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +489,7 @@ func TestCancelQueuedJobNeverLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	inst := sched.Instance{R: 4, S: 6, T: 3}
@@ -563,7 +564,7 @@ func TestCancelRunningJobLeaseIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	inst := sched.Instance{R: 6, S: 9, T: 4}
@@ -641,7 +642,7 @@ func TestCloseFailsQueuedJobsPromptly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: obs.LogfLogger(t.Logf)})
 
 	inst := sched.Instance{R: 4, S: 6, T: 3}
 	a1, b1, c1, _ := testMatrices(t, inst, 4, 701)
@@ -688,7 +689,7 @@ func TestWaitContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	inst := sched.Instance{R: 4, S: 6, T: 3}
@@ -712,7 +713,7 @@ func TestWaitContext(t *testing.T) {
 }
 
 // TestClientCancelFrameAbortsJob drives the cancel path over the wire: a
-// SubmitProductContext whose context dies while the job is wedged mid-run
+// SubmitProductClass whose context dies while the job is wedged mid-run
 // must send the cancel frame, the daemon must abort the job's lease, and the
 // client must come back promptly with the context error — while the daemon's
 // stats record the cancel.
@@ -723,7 +724,7 @@ func TestClientCancelFrameAbortsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: obs.LogfLogger(t.Logf)})
 	defer s.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -742,7 +743,7 @@ func TestClientCancelFrameAbortsJob(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err = SubmitProductContext(ctx, daemon, a, b, c)
+	_, _, err = SubmitProductClass(ctx, daemon, a, b, c, nil, ClassStandard)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled submission returned %v, want context.Canceled in the chain", err)
@@ -801,7 +802,7 @@ func TestSubmitCancelBeforeAccept(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err = SubmitProductContext(ctx, ln.Addr().String(), a, b, c)
+	_, _, err = SubmitProductClass(ctx, ln.Addr().String(), a, b, c, nil, ClassStandard)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-accept cancel returned %v, want context.Canceled in the chain", err)
 	}

@@ -118,12 +118,8 @@ type Config struct {
 	// a worker daemon without a cache degrades per-link via the handshake,
 	// so a caching server is always safe.
 	NoCache bool
-	// Logf, when non-nil, receives job lifecycle events rendered as plain
-	// text ("msg key=value ..."). Superseded by Logger when both are set.
-	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives job lifecycle events as structured
-	// records carrying job, worker, and lease attrs. Takes precedence over
-	// Logf.
+	// records carrying job, worker, and lease attrs. Nil discards them.
 	Logger *slog.Logger
 	// TraceDir, when non-empty, records every lease's transfers and writes
 	// one Chrome trace-event JSON file per completed job
@@ -133,14 +129,10 @@ type Config struct {
 	TraceDir string
 }
 
-// logger resolves the server's logger: explicit Logger first, then the
-// legacy printf callback bridged through obs.LogfLogger, then discard.
+// logger resolves the server's logger: Logger, or a discarding one.
 func (c Config) logger() *slog.Logger {
-	switch {
-	case c.Logger != nil:
+	if c.Logger != nil {
 		return c.Logger
-	case c.Logf != nil:
-		return obs.LogfLogger(c.Logf)
 	}
 	return obs.NopLogger()
 }

@@ -109,8 +109,8 @@ func (j *Job) Wait(ctx context.Context) error {
 // Trace before the job is terminal returns the spans recorded so far, and
 // the full timeline is available after Wait. A Remote job executes — and
 // records — daemon-side; Trace fetches the daemon's recording over the
-// client protocol, so it is nil until the job is terminal there (and on
-// daemons predating trace fetch), and the fetched timeline is memoized.
+// client protocol, so it is nil until the job is terminal there, and the
+// fetched timeline is memoized.
 // Render the result with Trace.WriteChromeTrace for Perfetto, or inspect
 // the spans directly.
 func (j *Job) Trace() *Trace {

@@ -98,13 +98,12 @@ type config struct {
 	shutdown    bool // Distributed: Close shuts worker daemons down instead of releasing them
 	adaptive    bool
 	drift       float64
-	panelCache  bool
 	redundancy  coded.Mode
 	redundancyR int
 
 	// explicit-set markers, so runtimes can reject options that do not apply
 	// to them instead of silently ignoring them.
-	setAlgorithm, setOnePort, setProcs, setPlatform, setPacing, setShutdown, setAdaptive, setPanelCache, setRedundancy bool
+	setAlgorithm, setOnePort, setProcs, setPlatform, setPacing, setShutdown, setAdaptive, setRedundancy bool
 }
 
 // redundant reports whether this session's jobs run through the k-of-n gate.
@@ -220,22 +219,6 @@ func WithAdaptive(drift float64) Option {
 	}
 }
 
-// WithPanelCache toggles operand-panel caching on runtimes with a wire
-// (default on). A Distributed session then opens a cache epoch per job —
-// workers that kept a submitted operand's panels from an earlier job skip
-// those transfers — and a Remote session ships the operands' digests with
-// each submission so the daemon can do the same and route jobs by operand
-// affinity. Workers without a cache (mmworker -cache-mb 0) degrade per link
-// via the handshake; the computed C is bitwise-identical either way. The
-// InProcess runtime rejects the option: its workers share the process
-// memory, so there is nothing to cache.
-func WithPanelCache(on bool) Option {
-	return func(c *config) error {
-		c.panelCache, c.setPanelCache = on, true
-		return nil
-	}
-}
-
 // WithRedundancy turns on proactive straggler mitigation for InProcess and
 // Distributed sessions: each job's plan gains r redundant work units per
 // wave and runs through the engine's k-of-n completion gate, so a stalled
@@ -296,10 +279,9 @@ func Open(ctx context.Context, opts ...Option) (*Session, error) {
 		ctx = context.Background()
 	}
 	cfg := config{
-		rt:         InProcess(),
-		scheduler:  sched.Het{},
-		algorithm:  "Het",
-		panelCache: true,
+		rt:        InProcess(),
+		scheduler: sched.Het{},
+		algorithm: "Het",
 	}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
@@ -429,8 +411,7 @@ type WorkerStats struct {
 	Name string
 	// Kernel is the block-update kernel the worker computes with (all
 	// kernels produce bitwise-identical C): in-process workers share the
-	// session's kernel; distributed/remote workers report their own,
-	// empty if the daemon predates kernel reporting.
+	// session's kernel; distributed/remote workers report their own.
 	Kernel string
 	Spec   Worker // declared c_i, w_i, m_i
 	// CPerBlock and WPerUpdate are the measured link and compute costs (EWMA
@@ -473,8 +454,7 @@ type SessionStats struct {
 	// what makes them useful.
 	Replans int
 	// PanelCache totals operand-panel caching (nil when the runtime does
-	// not cache: InProcess, WithPanelCache(false), or a non-caching
-	// daemon). Remote reports the daemon's fleet-wide totals.
+	// not cache: InProcess or a non-caching daemon). Remote reports the daemon's fleet-wide totals.
 	PanelCache *PanelCacheStats
 	// Redundancy names the k-of-n gate mode when proactive straggler
 	// mitigation is on ("replicated" or "coded"; empty when off). Remote

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/matrix"
 	mmnet "repro/internal/net"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/serve"
@@ -71,7 +72,7 @@ func startDaemon(t *testing.T, workers int, opts func(i int) mmnet.WorkerOptions
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	srv := serve.NewServer(fleet, serve.Config{MaxWorkersPerJob: 2, Logf: t.Logf})
+	srv := serve.NewServer(fleet, serve.Config{MaxWorkersPerJob: 2, Logger: obs.LogfLogger(t.Logf)})
 	t.Cleanup(srv.Close)
 	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

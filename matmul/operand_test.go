@@ -187,25 +187,3 @@ func TestOperandLifecycle(t *testing.T) {
 		t.Error("non-operand A accepted")
 	}
 }
-
-// TestWithPanelCacheOptionValidation checks the option's runtime gating:
-// InProcess rejects it, Distributed accepts both polarities.
-func TestWithPanelCacheOptionValidation(t *testing.T) {
-	ctx := context.Background()
-	if _, err := Open(ctx, WithPanelCache(true)); err == nil {
-		t.Error("InProcess accepted WithPanelCache")
-	}
-	addrs := startWorkers(t, 1, nil)
-	sess, err := Open(ctx, WithRuntime(Distributed(addrs...)), WithPanelCache(false))
-	if err != nil {
-		t.Fatalf("Distributed rejected WithPanelCache(false): %v", err)
-	}
-	st, err := sess.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PanelCache != nil {
-		t.Error("PanelCache stats reported with caching off")
-	}
-	sess.Close()
-}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/adapt"
-	"repro/internal/cache"
 	"repro/internal/coded"
 	"repro/internal/engine"
 	"repro/internal/kernel"
@@ -90,9 +89,6 @@ type inProcessRuntime struct{}
 func (inProcessRuntime) open(_ context.Context, cfg *config) (runtimeSession, error) {
 	if cfg.setShutdown {
 		return nil, fmt.Errorf("matmul: WithWorkerShutdown applies to the Distributed runtime only; there are no worker daemons in-process")
-	}
-	if cfg.setPanelCache {
-		return nil, fmt.Errorf("matmul: WithPanelCache applies to runtimes with a wire (Distributed, Remote); in-process workers share the operands already")
 	}
 	pl := cfg.platform
 	if pl == nil {
@@ -232,13 +228,11 @@ func (s *distributedSession) run(ctx context.Context, _ *Job, ah, bh *Operand, c
 	if err != nil {
 		return err
 	}
-	if s.cfg.panelCache {
-		// Open the job's cache epoch over the shared links (the sem makes
-		// jobs sequential, so epochs cannot interleave): worker daemons that
-		// kept these operands' panels from an earlier job skip the transfers.
-		s.m.BeginJob(jobPanels(ah, bh))
-		defer s.m.EndJob()
-	}
+	// Open the job's cache epoch over the shared links (the sem makes jobs
+	// sequential, so epochs cannot interleave): worker daemons that kept
+	// these operands' panels from an earlier job skip the transfers.
+	s.m.BeginJob(jobPanels(ah, bh))
+	defer s.m.EndJob()
 	// A redundancy plan error aborts before any dispatch, so the links stay
 	// clean for the next job.
 	opts, err := s.cfg.options(a.Cols, plan, a, c, pl.P(), s.tracker, s.join, &s.replans)
@@ -311,29 +305,27 @@ func (s *distributedSession) stats(context.Context) (SessionStats, error) {
 		}
 		return ""
 	})
-	if s.cfg.panelCache {
-		// The session drives one master for its whole life, so the per-link
-		// counters are already session totals.
-		tot := &PanelCacheStats{}
-		for i, ws := range s.m.CacheStats() {
-			if i < len(st.Workers) {
-				w := &st.Workers[i]
-				w.CacheHits, w.CacheMisses = ws.PanelHits, ws.PanelMisses
-				w.CacheSentBytes = ws.ASentBytes + ws.BSentBytes
-				w.CacheSavedBytes = ws.ASavedBytes + ws.BSavedBytes
-				w.ResidentPanels = int(ws.ResidentPanels)
-				w.ResidentBytes = ws.ResidentBytes
-			}
-			tot.PanelHits += ws.PanelHits
-			tot.PanelMisses += ws.PanelMisses
-			tot.ASentBytes += ws.ASentBytes
-			tot.ASavedBytes += ws.ASavedBytes
-			tot.BSentBytes += ws.BSentBytes
-			tot.BSavedBytes += ws.BSavedBytes
-			tot.ResidentBytes += ws.ResidentBytes
+	// The session drives one master for its whole life, so the per-link
+	// counters are already session totals.
+	tot := &PanelCacheStats{}
+	for i, ws := range s.m.CacheStats() {
+		if i < len(st.Workers) {
+			w := &st.Workers[i]
+			w.CacheHits, w.CacheMisses = ws.PanelHits, ws.PanelMisses
+			w.CacheSentBytes = ws.ASentBytes + ws.BSentBytes
+			w.CacheSavedBytes = ws.ASavedBytes + ws.BSavedBytes
+			w.ResidentPanels = int(ws.ResidentPanels)
+			w.ResidentBytes = ws.ResidentBytes
 		}
-		st.PanelCache = tot
+		tot.PanelHits += ws.PanelHits
+		tot.PanelMisses += ws.PanelMisses
+		tot.ASentBytes += ws.ASentBytes
+		tot.ASavedBytes += ws.ASavedBytes
+		tot.BSentBytes += ws.BSentBytes
+		tot.BSavedBytes += ws.BSavedBytes
+		tot.ResidentBytes += ws.ResidentBytes
 	}
+	st.PanelCache = tot
 	if s.cfg.redundant() {
 		st.Redundancy = string(s.cfg.redundancy)
 	}
@@ -395,27 +387,21 @@ func (r remoteRuntime) open(_ context.Context, cfg *config) (runtimeSession, err
 			return nil, err
 		}
 	}
-	return &remoteSession{addr: r.addr, cacheOn: cfg.panelCache}, nil
+	return &remoteSession{addr: r.addr}, nil
 }
 
 type remoteSession struct {
-	addr    string
-	cacheOn bool
+	addr string
 }
 
 func (s *remoteSession) run(ctx context.Context, j *Job, ah, bh *Operand, c *Matrix) error {
 	a, b := ah.mat, bh.mat
-	// With caching on, ship the operands' digests with the blocks so the
-	// daemon can route by affinity and its workers can skip resident panels —
-	// without re-hashing A and B server-side. Installed handles make this
-	// nearly free on every submission after the first. The job's SLO class
-	// (WithClass) rides the same frame; the daemon's queue policy and
-	// admission control act on it.
-	var jp *cache.JobPanels
-	if s.cacheOn {
-		jp = jobPanels(ah, bh)
-	}
-	out, id, err := serve.SubmitProductClass(ctx, s.addr, a, b, c, jp, j.class)
+	// Ship the operands' digests with the blocks so the daemon can route by
+	// affinity and its workers can skip resident panels — without re-hashing
+	// A and B server-side. Installed handles make this nearly free on every
+	// submission after the first. The job's SLO class (WithClass) rides the
+	// same frame; the daemon's queue policy and admission control act on it.
+	out, id, err := serve.SubmitProductClass(ctx, s.addr, a, b, c, jobPanels(ah, bh), j.class)
 	if id != 0 {
 		j.setRemoteID(id)
 		// The daemon records every job's timeline; expose it through
