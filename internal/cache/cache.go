@@ -155,7 +155,7 @@ type entry struct {
 	d      Digest
 	blocks []*matrix.Block
 	bytes  int64
-	pinned bool
+	pin    uint64 // pin epoch that last touched it; pinned iff == PanelCache.epoch
 	elem   *list.Element
 }
 
@@ -180,10 +180,15 @@ type Stats struct {
 // resident the moment the chunk's result lands). Eviction never takes a
 // pinned entry — a cache whose pinned set exceeds the budget runs over
 // budget until UnpinAll, rather than break a promise mid-job.
+//
+// Pins are epoch stamps: an entry is pinned iff its stamp equals the cache's
+// current epoch, so ending a job's pins is one counter increment however
+// many panels are resident.
 type PanelCache struct {
 	mu      sync.Mutex
 	budget  int64
 	bytes   int64
+	epoch   uint64
 	ll      *list.List // front = most recently used
 	entries map[Digest]*entry
 
@@ -196,14 +201,14 @@ func NewPanelCache(budget int64) *PanelCache {
 	return &PanelCache{budget: budget, ll: list.New(), entries: make(map[Digest]*entry)}
 }
 
-// BeginJob starts a job's pin epoch: previous pins are dropped, then each
+// BeginJob starts a new pin epoch, dropping every previous pin, then each
 // queried digest is answered — have[i] reports whether ds[i] is resident —
 // and resident ones are pinned and refreshed in the LRU. This is the
 // worker-side half of the have/need handshake.
 func (c *PanelCache) BeginJob(ds []Digest) (have []bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.unpinAllLocked()
+	c.epoch++
 	have = make([]bool, len(ds))
 	for i, d := range ds {
 		e, ok := c.entries[d]
@@ -212,7 +217,7 @@ func (c *PanelCache) BeginJob(ds []Digest) (have []bool) {
 			continue
 		}
 		c.hits++
-		e.pinned = true
+		e.pin = c.epoch
 		c.ll.MoveToFront(e.elem)
 		have[i] = true
 	}
@@ -249,11 +254,11 @@ func (c *PanelCache) Install(d Digest, blocks []*matrix.Block) (absorbed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[d]; ok {
-		e.pinned = true
+		e.pin = c.epoch
 		c.ll.MoveToFront(e.elem)
 		return false
 	}
-	e := &entry{d: d, blocks: blocks, bytes: bytes, pinned: true}
+	e := &entry{d: d, blocks: blocks, bytes: bytes, pin: c.epoch}
 	e.elem = c.ll.PushFront(e)
 	c.entries[d] = e
 	c.bytes += bytes
@@ -266,19 +271,14 @@ func (c *PanelCache) Install(d Digest, blocks []*matrix.Block) (absorbed bool) {
 func (c *PanelCache) UnpinAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.unpinAllLocked()
+	c.epoch++
 	c.evictLocked()
 }
 
-func (c *PanelCache) unpinAllLocked() {
-	for e := c.ll.Front(); e != nil; e = e.Next() {
-		e.Value.(*entry).pinned = false
-	}
-}
-
-// evictLocked drops least-recently-used unpinned entries until the cache
-// fits its budget. Evicted blocks are simply unreferenced — they were never
-// pool-owned, so the garbage collector reclaims them.
+// evictLocked drops least-recently-used entries not pinned in the current
+// epoch until the cache fits its budget. Evicted blocks are simply
+// unreferenced — they were never pool-owned, so the garbage collector
+// reclaims them.
 func (c *PanelCache) evictLocked() {
 	if c.budget <= 0 {
 		return
@@ -286,7 +286,7 @@ func (c *PanelCache) evictLocked() {
 	for e := c.ll.Back(); e != nil && c.bytes > c.budget; {
 		ent := e.Value.(*entry)
 		prev := e.Prev()
-		if !ent.pinned {
+		if ent.pin != c.epoch {
 			c.ll.Remove(e)
 			delete(c.entries, ent.d)
 			c.bytes -= ent.bytes

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -162,6 +164,97 @@ func TestPanelCachePinningBlocksEviction(t *testing.T) {
 	c.UnpinAll()
 	if st := c.Snapshot(); st.Bytes > 2*panelBytes {
 		t.Fatalf("cache over budget after epoch turnover: %+v", st)
+	}
+}
+
+// TestPanelCacheEpochPins pins down the epoch semantics: a pin lasts exactly
+// one job (until the next BeginJob or UnpinAll), installing an
+// already-resident digest re-pins it in the current epoch, and eviction
+// passes over current-epoch entries to take stale ones, however recently the
+// stale ones were used.
+func TestPanelCacheEpochPins(t *testing.T) {
+	q, depth := 4, 2
+	pb := PanelDataBytes(q, depth)
+	c := NewPanelCache(2 * pb)
+	d1, d2, d3, d4, d5 := dig(1), dig(2), dig(3), dig(4), dig(5)
+	resident := func(step string, want ...Digest) {
+		t.Helper()
+		if st := c.Snapshot(); st.Panels != len(want) {
+			t.Errorf("%s: %d panels resident, want %d", step, st.Panels, len(want))
+		}
+		for _, d := range want {
+			if _, ok := c.entries[d]; !ok {
+				t.Errorf("%s: panel %v not resident", step, d)
+			}
+		}
+	}
+
+	// Job n installs three panels: all pinned, so the cache runs over budget.
+	c.BeginJob(nil)
+	c.Install(d1, panelBlocks(q, depth, 1))
+	c.Install(d2, panelBlocks(q, depth, 2))
+	c.Install(d3, panelBlocks(q, depth, 3))
+	resident("job n", d1, d2, d3)
+
+	// Job n+1's BeginJob ends job n's pins: the queried d1 is pinned anew and
+	// the least recently used stale entry, d2, goes.
+	if have := c.BeginJob([]Digest{d1}); !have[0] {
+		t.Fatal("d1 not reported resident")
+	}
+	resident("job n+1 handshake", d1, d3)
+
+	// Re-installing the stale d3 re-pins it; with d1 and d3 both pinned, d4
+	// overshoots the budget and nothing is evicted.
+	if c.Install(d3, panelBlocks(q, depth, 33)) {
+		t.Fatal("duplicate install absorbed")
+	}
+	c.Install(d4, panelBlocks(q, depth, 4))
+	resident("job n+1 installs", d1, d3, d4)
+
+	// UnpinAll ends job n+1: the LRU entry d1 goes.
+	c.UnpinAll()
+	resident("after UnpinAll", d3, d4)
+
+	// Job n+2 pins d4 only; touching d3 makes it the most recently used, but
+	// it is stale, so installing d5 evicts d3 rather than the pinned LRU d4.
+	c.BeginJob([]Digest{d4})
+	if c.Get(d3) == nil {
+		t.Fatal("d3 not resident")
+	}
+	c.Install(d5, panelBlocks(q, depth, 5))
+	resident("job n+2", d4, d5)
+	if st := c.Snapshot(); st.Evictions != 3 || st.Bytes != 2*pb {
+		t.Errorf("after three evictions: %+v", st)
+	}
+}
+
+// BenchmarkPanelCacheBeginJob times one job's handshake (BeginJob over a
+// small job's ten digests, half resident) against caches holding 1,024 and
+// 65,536 panels: ending the previous job's pins is one epoch increment, so
+// ns/op stays flat in the resident count.
+func BenchmarkPanelCacheBeginJob(b *testing.B) {
+	for _, n := range []int{1024, 65536} {
+		b.Run(fmt.Sprintf("resident=%d", n), func(b *testing.B) {
+			c := NewPanelCache(0)
+			blocks := panelBlocks(1, 1, 1)
+			ds := make([]Digest, n)
+			for i := range ds {
+				binary.LittleEndian.PutUint64(ds[i][:], uint64(i))
+				c.Install(ds[i], blocks)
+			}
+			query := make([]Digest, 10)
+			for i := range query {
+				k := i * n / 10 // even i: resident
+				if i%2 == 1 {
+					k = n + i // odd i: absent
+				}
+				binary.LittleEndian.PutUint64(query[i][:], uint64(k))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.BeginJob(query)
+			}
+		})
 	}
 }
 

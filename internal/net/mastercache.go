@@ -28,6 +28,7 @@ import (
 // readers (a session polling CacheStats) load them concurrently.
 type linkStats struct {
 	cacheOn        atomic.Bool
+	budget         atomic.Int64 // the worker cache's payload byte budget
 	hits, misses   atomic.Int64 // handshake answers: resident / must-ship
 	aSent, aSaved  atomic.Int64 // A-panel wire bytes shipped / skipped
 	bSent, bSaved  atomic.Int64 // B-panel wire bytes shipped / skipped
@@ -40,6 +41,7 @@ type linkStats struct {
 type WorkerCacheStats struct {
 	Name           string
 	CacheOn        bool  // worker runs a panel cache
+	CacheBudget    int64 // its payload byte budget, as the handshake reported (≤0: unbounded)
 	PanelHits      int64 // handshake queries answered "resident"
 	PanelMisses    int64 // handshake queries answered "absent"
 	ASentBytes     int64 // A-panel payload bytes put on the wire
@@ -136,6 +138,7 @@ func handshakeLink(l *link, opts MasterOptions, st *linkStats, jp *cache.JobPane
 				return fmt.Errorf("have-ack answers %d digests, queried %d", len(msg.HaveBits), len(ds))
 			}
 			st.cacheOn.Store(msg.CacheOn)
+			st.budget.Store(msg.Budget)
 			if !msg.CacheOn {
 				return nil // cacheless worker: installments stay full-transfer
 			}
@@ -200,6 +203,7 @@ func (m *Master) CacheStats() []WorkerCacheStats {
 		out[i] = WorkerCacheStats{
 			Name:           l.name,
 			CacheOn:        st.cacheOn.Load(),
+			CacheBudget:    st.budget.Load(),
 			PanelHits:      st.hits.Load(),
 			PanelMisses:    st.misses.Load(),
 			ASentBytes:     st.aSent.Load(),

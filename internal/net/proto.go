@@ -96,6 +96,7 @@ type Msg struct {
 	Digests   []cache.Digest // Have: the job's distinct panel digests
 	HaveBits  []bool         // HaveAck: per-queried-digest presence
 	CacheOn   bool           // HaveAck: worker runs a panel cache at all
+	Budget    int64          // HaveAck: the cache's payload byte budget (≤0: unbounded)
 	ARefs     []PanelRef     // Install: one per chunk row, in row order; empty ⇔ every block on the wire
 	BRefs     []PanelRef     // Install: one per chunk column, in column order; empty ⇔ every block on the wire
 }
@@ -103,7 +104,7 @@ type Msg struct {
 const (
 	// frameMagic versions the whole protocol: a peer built against another
 	// frame layout fails its first header check instead of misparsing.
-	frameMagic      = 0x4d4d5032 // "MMP2"
+	frameMagic      = 0x4d4d5033 // "MMP3"
 	maxFramePayload = 1 << 30    // 1 GiB: far above any real installment
 	maxNameLen      = 1 << 10
 
@@ -132,7 +133,7 @@ func ParseFrameHeader(hdr []byte, magic uint32) (kind uint8, payloadLen uint32, 
 	return hdr[4], binary.LittleEndian.Uint32(hdr[5:9]), nil
 }
 
-// magicName renders a frame magic the way the constants spell it ("MMP2").
+// magicName renders a frame magic the way the constants spell it ("MMP3").
 func magicName(m uint32) string {
 	return string([]byte{byte(m >> 24), byte(m >> 16), byte(m >> 8), byte(m)})
 }
@@ -218,7 +219,7 @@ func payloadLen(m *Msg) (int, error) {
 		if len(m.HaveBits) > maxPanelRefs {
 			return 0, fmt.Errorf("net: have-ack frame with %d answers", len(m.HaveBits))
 		}
-		return 1 + 4 + len(m.HaveBits), nil
+		return 1 + 8 + 4 + len(m.HaveBits), nil
 	default:
 		return 0, fmt.Errorf("net: cannot encode message kind %d", m.Kind)
 	}
@@ -328,14 +329,15 @@ func WriteMsgCodec(w io.Writer, m *Msg, bc *matrix.BlockCodec) error {
 			}
 		}
 	case MsgHaveAck:
-		ack := make([]byte, 1+4+len(m.HaveBits))
+		ack := make([]byte, 1+8+4+len(m.HaveBits))
 		if m.CacheOn {
 			ack[0] = 1
 		}
-		binary.LittleEndian.PutUint32(ack[1:5], uint32(len(m.HaveBits)))
+		binary.LittleEndian.PutUint64(ack[1:9], uint64(m.Budget))
+		binary.LittleEndian.PutUint32(ack[9:13], uint32(len(m.HaveBits)))
 		for i, h := range m.HaveBits {
 			if h {
-				ack[5+i] = 1
+				ack[13+i] = 1
 			}
 		}
 		if _, err := w.Write(ack); err != nil {
@@ -439,11 +441,12 @@ func ReadMsgCodec(r io.Reader, bc *matrix.BlockCodec) (*Msg, error) {
 			return d
 		})
 	case MsgHaveAck:
-		var on [1]byte
-		if _, err = io.ReadFull(buf, on[:]); err != nil {
+		var hdr [9]byte
+		if _, err = io.ReadFull(buf, hdr[:]); err != nil {
 			break
 		}
-		m.CacheOn = on[0] != 0
+		m.CacheOn = hdr[0] != 0
+		m.Budget = int64(binary.LittleEndian.Uint64(hdr[1:9]))
 		m.HaveBits, err = ReadList(buf, 1, func(b []byte) bool { return b[0] != 0 })
 	case MsgInstall:
 		if m.Chunk, err = getChunk(buf); err != nil {

@@ -82,7 +82,7 @@ func everyKind(t testing.TB) []*Msg {
 		{Kind: MsgShutdown},
 		{Kind: MsgRelease},
 		{Kind: MsgHave, Digests: []cache.Digest{digest(1), digest(2), digest(3)}},
-		{Kind: MsgHaveAck, CacheOn: true, HaveBits: []bool{true, false, true}},
+		{Kind: MsgHaveAck, CacheOn: true, Budget: 256 << 20, HaveBits: []bool{true, false, true}},
 		{Kind: MsgHaveAck, HaveBits: []bool{false, false}},
 	}
 }
@@ -93,7 +93,8 @@ func msgDiff(a, b *Msg) string {
 	switch {
 	case a.Kind != b.Kind || a.Name != b.Name || a.Kernel != b.Kernel || a.Heartbeat != b.Heartbeat:
 		return "hello fields"
-	case a.Chunk != b.Chunk || a.K0 != b.K0 || a.K1 != b.K1 || a.T != b.T || a.CacheOn != b.CacheOn:
+	case a.Chunk != b.Chunk || a.K0 != b.K0 || a.K1 != b.K1 || a.T != b.T ||
+		a.CacheOn != b.CacheOn || a.Budget != b.Budget:
 		return "scalar fields"
 	case !slicesEqual(a.Digests, b.Digests) || !slicesEqual(a.HaveBits, b.HaveBits) ||
 		!slicesEqual(a.ARefs, b.ARefs) || !slicesEqual(a.BRefs, b.BRefs):
@@ -165,7 +166,7 @@ func TestProtoListCountsBoundedByFrame(t *testing.T) {
 		body []byte
 	}{
 		{"have digests", MsgHave, u32(1 << 22)},
-		{"have-ack answers", MsgHaveAck, append([]byte{1}, u32(1<<30)...)},
+		{"have-ack answers", MsgHaveAck, append(make([]byte, 1+8), u32(1<<30)...)},
 		{"install refs", MsgInstall, append(make([]byte, 16+12), u32(1<<22)...)},
 		{"chunk block edge", MsgChunk, append(append(make([]byte, 16), u32(1)...), append(u32(0x424c4b31), u32(1<<14)...)...)},
 	}
@@ -200,16 +201,18 @@ func TestProtoRejectsOtherVersion(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		// A version-1 hello: heartbeat ms, name length, name.
-		body := append(binary.LittleEndian.AppendUint32(nil, 500), 2, 0, 'v', '1')
+		// A version-2 hello: heartbeat ms, name length, name, kernel length,
+		// kernel. Version 2 differs only in the have-ack layout, so the magic
+		// is the only thing that can reject it.
+		body := append(binary.LittleEndian.AppendUint32(nil, 500), 2, 0, 'v', '2', 0, 0)
 		frame := make([]byte, FrameHeaderLen)
-		PutFrameHeader(frame, 0x4d4d5031, uint8(MsgHello), len(body))
+		PutFrameHeader(frame, 0x4d4d5032, uint8(MsgHello), len(body))
 		conn.Write(append(frame, body...))
 		io.Copy(io.Discard, conn)
 	}()
 	_, err = DialWorkerContext(context.Background(), ln.Addr().String(), &MasterOptions{DialTimeout: 5 * time.Second})
-	if err == nil || !strings.Contains(err.Error(), `"MMP1"`) || !strings.Contains(err.Error(), `"MMP2"`) {
-		t.Fatalf("v1 hello: got %v, want an error naming MMP1 and MMP2", err)
+	if err == nil || !strings.Contains(err.Error(), `"MMP2"`) || !strings.Contains(err.Error(), `"MMP3"`) {
+		t.Fatalf("v2 hello: got %v, want an error naming MMP2 and MMP3", err)
 	}
 }
 

@@ -388,13 +388,15 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 			}
 		case MsgHave:
 			// A master opens a panel-cache epoch: answer which of the job's
-			// panels are resident, pinning them for the job's duration. A
-			// cacheless worker answers all-absent with CacheOn=false so the
-			// master stays on the full-transfer protocol.
+			// panels are resident, pinning them for the job's duration, and
+			// the cache's budget (what the master's registry may believe
+			// resident here). A cacheless worker answers all-absent with
+			// CacheOn=false so the master stays on the full-transfer protocol.
 			discardPending()
 			ack := &Msg{Kind: MsgHaveAck}
 			if opts.Cache != nil {
 				ack.CacheOn = true
+				ack.Budget = opts.Cache.Snapshot().Budget
 				ack.HaveBits = opts.Cache.BeginJob(msg.Digests)
 			} else {
 				ack.HaveBits = make([]bool, len(msg.Digests))

@@ -53,15 +53,19 @@ func newServeClock(pl *platform.Platform) *serveClock {
 	return sc
 }
 
-func (sc *serveClock) clone() *serveClock {
-	c := *sc
-	c.gaps = append([]gap(nil), sc.gaps...)
-	c.computeEnd = append([]float64(nil), sc.computeEnd...)
-	c.ce1 = append([]float64(nil), sc.ce1...)
-	c.ce2 = append([]float64(nil), sc.ce2...)
-	c.lastArrive = append([]float64(nil), sc.lastArrive...)
-	c.sentC = append([]bool(nil), sc.sentC...)
-	return &c
+// copyFrom makes sc an independent copy of src, reusing sc's slices: the
+// candidate probes of selection overwrite the same scratch clocks for every
+// candidate instead of allocating one per probe.
+func (sc *serveClock) copyFrom(src *serveClock) {
+	gaps, computeEnd, ce1, ce2 := sc.gaps, sc.computeEnd, sc.ce1, sc.ce2
+	lastArrive, sentC := sc.lastArrive, sc.sentC
+	*sc = *src
+	sc.gaps = append(gaps[:0], src.gaps...)
+	sc.computeEnd = append(computeEnd[:0], src.computeEnd...)
+	sc.ce1 = append(ce1[:0], src.ce1...)
+	sc.ce2 = append(ce2[:0], src.ce2...)
+	sc.lastArrive = append(lastArrive[:0], src.lastArrive...)
+	sc.sentC = append(sentC[:0], src.sentC...)
 }
 
 // horizon is the time the master has "spent" so far in the §5 sense — "either
@@ -127,7 +131,7 @@ func (sc *serveClock) place(ready, dur float64) float64 {
 // books the initial C-chunk transfer the first time worker i ever receives
 // data (the paper's optional variant). It returns the end of the chunk's
 // last communication and the chunk's compute completion, and updates the
-// clock (call on a clone to evaluate a hypothesis).
+// clock (call on a probe copy to evaluate a hypothesis).
 func (sc *serveClock) assign(i, h, w, t int, countC bool) (lastComm, computeDone float64) {
 	wk := sc.pl.Workers[i]
 	if countC && !sc.sentC[i] {
@@ -159,7 +163,7 @@ func (sc *serveClock) assign(i, h, w, t int, countC bool) (lastComm, computeDone
 	return lastComm, sc.computeEnd[i]
 }
 
-// maxGaps caps the free-interval list. Candidate probes clone the clock, so
+// maxGaps caps the free-interval list. Candidate probes copy the clock, so
 // an unbounded list makes selection quadratic in the schedule length; old
 // gaps are the least likely to be usable (every active worker's ready time
 // only grows), so the oldest are dropped first. Dropping a gap is

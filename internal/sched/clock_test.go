@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -134,13 +135,28 @@ func TestAssignCountCFirstTimeOnly(t *testing.T) {
 	}
 }
 
+// TestCloneIsolation copies a clock into a dirty probe whose gap list is
+// longer than the source's, as selection's scratch probes are: the copy must
+// deep-equal the source, and an assignment on it must leave the source
+// untouched.
 func TestCloneIsolation(t *testing.T) {
 	pl := platform.Homogeneous(2, 1, 1, 1000)
 	sc := newServeClock(pl)
 	sc.assign(0, 2, 2, 3, false)
 	snapshotWork := sc.work
 	snapshotLast := sc.lastCommEnd
-	probe := sc.clone()
+	probe := newServeClock(pl)
+	for i := 0; i < 4; i++ {
+		probe.assign(i%2, 3, 2, 5, true)
+	}
+	probe.gaps = append(probe.gaps, gap{1e9, 2e9}, gap{3e9, 4e9})
+	if len(probe.gaps) <= len(sc.gaps) {
+		t.Fatalf("test premise broken: dirty probe has %d gaps, source %d", len(probe.gaps), len(sc.gaps))
+	}
+	probe.copyFrom(sc)
+	if !reflect.DeepEqual(probe, sc) {
+		t.Fatalf("copy differs from its source:\n got %+v\nwant %+v", probe, sc)
+	}
 	probe.assign(1, 2, 2, 3, false)
 	if sc.work != snapshotWork || sc.lastCommEnd != snapshotLast {
 		t.Error("probe assignment mutated the original clock")

@@ -90,10 +90,14 @@ func selectChunks(pl *platform.Platform, inst Instance, v Variant) ([][]sim.Job,
 	mk := func(worker int, ch matrix.Chunk, t, seq int) sim.Job { return sim.MakeStandardJob(ch, t, seq) }
 	carver := sim.NewCarver(inst.R, inst.S, inst.T, m, m, mk)
 	clock := newServeClock(pl)
+	// Scratch state, overwritten for every candidate: probe clock level 0
+	// holds the candidate's assignment, level 1 the look-ahead follow-up, and
+	// the look-ahead carver the candidate's carve.
+	scr := &scratch{probes: [2]*serveClock{newServeClock(pl), newServeClock(pl)}, carver: &sim.Carver{}}
 	queues := make([][]sim.Job, pl.P())
 	seq := 0
 	for {
-		best := pickWorker(pl, carver, clock, inst.T, v)
+		best := pickWorker(pl, carver, clock, scr, inst.T, v)
 		if best < 0 {
 			break
 		}
@@ -109,11 +113,12 @@ func selectChunks(pl *platform.Platform, inst Instance, v Variant) ([][]sim.Job,
 	return queues, nil
 }
 
-// score evaluates assigning the peeked chunk of worker i on a cloned clock
-// and returns the variant's base criterion (higher is better) plus the clone
-// for look-ahead chaining.
-func score(pl *platform.Platform, clock *serveClock, i, h, w, t int, v Variant) (float64, *serveClock) {
-	probe := clock.clone()
+// score evaluates assigning the peeked chunk of worker i on probe, which it
+// first overwrites with a copy of clock, and returns the variant's base
+// criterion (higher is better); probe is left holding the hypothesis for
+// look-ahead chaining.
+func score(clock, probe *serveClock, i, h, w, t int, v Variant) float64 {
+	probe.copyFrom(clock)
 	before := probe.horizon()
 	workBefore := probe.work
 	probe.assign(i, h, w, t, v.CountC)
@@ -124,31 +129,38 @@ func score(pl *platform.Platform, clock *serveClock, i, h, w, t int, v Variant) 
 		// gaps and compute slack is free: score it by work alone
 		// (effectively infinite ratio, ties broken by the larger chunk).
 		if after-before <= 1e-12 {
-			return 1e18 * (probe.work - workBefore), probe
+			return 1e18 * (probe.work - workBefore)
 		}
-		return (probe.work - workBefore) / (after - before), probe
+		return (probe.work - workBefore) / (after - before)
 	}
 	// Total work assigned so far over "the time spent by the master so far,
 	// either sending data to workers or staying idle waiting for the workers
 	// to finish their current computations" (§5): the later of the last
 	// communication's completion and the workers' compute horizon.
-	return probe.work / after, probe
+	return probe.work / after
+}
+
+// scratch is selection's reusable probe state (see selectChunks).
+type scratch struct {
+	probes [2]*serveClock
+	carver *sim.Carver
 }
 
 // pickWorker returns the worker index optimizing the variant's criterion for
 // the next selection, or -1 when no work remains.
-func pickWorker(pl *platform.Platform, carver *sim.Carver, clock *serveClock, t int, v Variant) int {
+func pickWorker(pl *platform.Platform, carver *sim.Carver, clock *serveClock, scr *scratch, t int, v Variant) int {
 	best, bestScore := -1, math.Inf(-1)
 	for i := range pl.Workers {
 		ch, ok := carver.Peek(i)
 		if !ok {
 			continue
 		}
-		s, probe := score(pl, clock, i, ch.H, ch.W, t, v)
+		s := score(clock, scr.probes[0], i, ch.H, ch.W, t, v)
 		if v.LookAhead {
 			// One-step look-ahead: chase the best follow-up assignment and
 			// score the pair; commit only the first element.
-			carver2 := carver.Clone()
+			carver2 := scr.carver
+			carver2.CopyFrom(carver)
 			carver2.Next(i) // apply i's carve so follow-up peeks are exact
 			bestSecond := math.Inf(-1)
 			for j := range pl.Workers {
@@ -156,7 +168,7 @@ func pickWorker(pl *platform.Platform, carver *sim.Carver, clock *serveClock, t 
 				if !ok2 {
 					continue
 				}
-				s2, _ := score(pl, probe, j, ch2.H, ch2.W, t, v)
+				s2 := score(scr.probes[0], scr.probes[1], j, ch2.H, ch2.W, t, v)
 				if s2 > bestSecond {
 					bestSecond = s2
 				}

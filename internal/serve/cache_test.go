@@ -183,3 +183,49 @@ func TestServerRedialInvalidatesResidency(t *testing.T) {
 		t.Errorf("worker %d still holds %d panels / %d bytes after its session was recycled", victim, panels, bytes)
 	}
 }
+
+// TestRegistryBoundedByCacheBudget runs fresh-operand jobs worth many cache
+// budgets through a caching server: the registry must never believe a
+// worker holds more panel bytes than the budget its handshake reported.
+func TestRegistryBoundedByCacheBudget(t *testing.T) {
+	inst := sched.Instance{R: 4, S: 6, T: 3}
+	q := 4
+	budget := 4 * cache.PanelDataBytes(q, inst.T) // 4 of a job's 10 panels
+	addrs := startWorkers(t, 2, func(i int) mmnet.WorkerOptions {
+		return mmnet.WorkerOptions{Heartbeat: 50 * time.Millisecond, Cache: cache.NewPanelCache(budget)}
+	})
+	f, err := NewFleet(addrs, homSpecs(2), FleetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s := NewServer(f, Config{Logger: obs.LogfLogger(t.Logf)})
+	defer s.Close()
+
+	for job := 0; job < 6; job++ {
+		a, b, c, want := testMatrices(t, inst, q, 900+int64(job))
+		id, err := s.Submit(a, b, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Wait(id); err != nil {
+			t.Fatalf("job %d: %v", job, err)
+		}
+		if d := c.MaxAbsDiff(want); d != 0 {
+			t.Errorf("job %d: C differs by %g (want bitwise equal)", job, d)
+		}
+		for i, w := range s.Status().Workers {
+			if w.ResidentBytes > budget {
+				t.Errorf("job %d: worker %d believed to hold %d bytes, budget %d", job, i, w.ResidentBytes, budget)
+			}
+		}
+	}
+	st := s.Status()
+	if st.Cache == nil || st.Cache.ResidentBytes == 0 {
+		t.Fatalf("no residency recorded: %+v", st.Cache)
+	}
+	if st.Cache.ASentBytes+st.Cache.BSentBytes <= 2*budget {
+		t.Fatalf("test premise broken: %d panel bytes shipped, want more than the fleet's %d budget",
+			st.Cache.ASentBytes+st.Cache.BSentBytes, 2*budget)
+	}
+}

@@ -810,3 +810,157 @@ func TestSubmitCancelBeforeAccept(t *testing.T) {
 		t.Fatalf("pre-accept cancel took %v, want prompt return", elapsed)
 	}
 }
+
+// TestRunningLeaseList drives done, failed, cancelled-while-running and
+// attached jobs through an adaptive server whose history is already at
+// maxJobHistory records, so every terminal transition also prunes. The
+// server's running-lease list must hold exactly the jobs Status reports
+// running at every step, and be empty after Close.
+func TestRunningLeaseList(t *testing.T) {
+	// Worker 0 is healthy, 1 stalls after its first installment in every
+	// session, 2 crashes after its first; 3 joins mid-job.
+	addrs := startWorkers(t, 4, func(i int) mmnet.WorkerOptions {
+		o := mmnet.WorkerOptions{Heartbeat: 50 * time.Millisecond}
+		switch i {
+		case 1:
+			o.StallAfterInstalls, o.StallFor = 1, time.Second
+		case 2:
+			o.CrashAfterInstalls = 1
+		}
+		return o
+	})
+	f, err := NewFleet(addrs[:3], homSpecs(3), FleetOptions{
+		Keepalive: -1, Master: mmnet.MasterOptions{IOTimeout: 10 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// hold keeps worker i out of the server's reach, waiting out a re-dial.
+	hold := func(i int) *mmnet.Master {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			f.Idle() // starts the re-dial of a recycled session
+			m, err := f.Lease([]int{i})
+			if err == nil {
+				return m
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("worker %d never came back idle: %v", i, err)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	m1, m2 := hold(1), hold(2)
+
+	s := NewServer(f, Config{Adaptive: true, Logger: obs.LogfLogger(t.Logf)})
+	s.mu.Lock()
+	for len(s.order) < maxJobHistory {
+		s.nextID++
+		old := &job{id: s.nextID, state: JobDone, done: make(chan struct{})}
+		close(old.done)
+		s.jobs[old.id] = old
+		s.order = append(s.order, old.id)
+	}
+	s.mu.Unlock()
+
+	check := func(step string, want int) {
+		t.Helper()
+		s.mu.Lock()
+		listed := len(s.running)
+		for _, j := range s.running {
+			if j.state != JobRunning {
+				t.Errorf("%s: job %d is listed running in state %s", step, j.id, j.state)
+			}
+		}
+		s.mu.Unlock()
+		if st := s.Status(); listed != want || st.Running != want {
+			t.Errorf("%s: running list holds %d, Status().Running %d, want %d", step, listed, st.Running, want)
+		}
+	}
+	inst := sched.Instance{R: 4, S: 6, T: 3}
+	submit := func(seed int64) (uint64, *matrix.BlockMatrix, *matrix.BlockMatrix) {
+		t.Helper()
+		a, b, c, want := testMatrices(t, inst, 4, seed)
+		id, err := s.Submit(a, b, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id, c, want
+	}
+
+	// Done, on worker 0.
+	id, c, want := submit(801)
+	if err := s.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.MaxAbsDiff(want); d != 0 {
+		t.Errorf("done job: C differs by %g (want bitwise equal)", d)
+	}
+	check("after a done job", 0)
+
+	// Failed, on worker 2 alone: its crash leaves the lease no survivor.
+	m0 := hold(0)
+	f.Return([]int{2}, m2, false)
+	id, _, _ = submit(802)
+	if err := s.Wait(id); err == nil || errors.Is(err, context.Canceled) {
+		t.Fatalf("job on the crashing worker: got %v, want a failure", err)
+	}
+	check("after a failed job", 0)
+	m2 = hold(2)
+
+	// Cancelled while running, on the stalling worker 1.
+	f.Return([]int{1}, m1, false)
+	id, _, _ = submit(803)
+	waitForState(t, s, id, "running")
+	check("while a job stalls", 1)
+	if err := s.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(id); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled job: got %v, want context.Canceled", err)
+	}
+	check("after a cancelled job", 0)
+
+	// Attached: worker 3 joins the fleet while a job stalls on worker 1, and
+	// the idle newcomer is offered to that running lease.
+	m1 = hold(1)
+	f.Return([]int{1}, m1, false)
+	id, c, want = submit(804)
+	waitForState(t, s, id, "running")
+	if _, err := s.AddWorker(addrs[3], platform.Worker{C: 1, W: 1, M: 40}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for attached := false; !attached; {
+		var row JobStatus
+		for _, js := range s.Status().Jobs {
+			if js.ID == id {
+				row = js
+			}
+		}
+		attached = row.State == "running" && len(row.Workers) == 2
+		if !attached && time.Now().After(deadline) {
+			t.Fatalf("worker 3 never joined job %d's lease: %+v", id, row)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	check("while an attached job runs", 1)
+	if err := s.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.MaxAbsDiff(want); d != 0 {
+		t.Errorf("attached job: C differs by %g (want bitwise equal)", d)
+	}
+	check("after the attached job", 0)
+
+	s.Close()
+	check("after Close", 0)
+	if st := s.Status(); len(st.Jobs) > maxJobHistory || st.Done+st.Failed+st.Canceled != len(st.Jobs) {
+		t.Errorf("history of %d records (%d done, %d failed, %d canceled), want ≤%d, all terminal",
+			len(st.Jobs), st.Done, st.Failed, st.Canceled, maxJobHistory)
+	}
+	f.Return([]int{0}, m0, false)
+	f.Return([]int{2}, m2, false)
+}

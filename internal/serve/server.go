@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -301,12 +302,15 @@ type Server struct {
 	cacheMu  sync.Mutex
 	cacheCum map[int]*cacheCum
 
-	mu      sync.Mutex
-	queue   []*job
-	jobs    map[uint64]*job
-	order   []uint64
-	nextID  uint64
-	running int
+	mu     sync.Mutex
+	queue  []*job
+	jobs   map[uint64]*job
+	order  []uint64
+	nextID uint64
+	// running lists the jobs holding a lease, in dispatch order: appended
+	// when a lease starts, removed in the same critical section that makes
+	// the job terminal.
+	running []*job
 	closed  bool
 	wake    chan struct{}
 	// loop counts the admission loop and every lease's run goroutine, so
@@ -727,7 +731,7 @@ func (s *Server) schedule() {
 		// a re-registered crash survivor) is offered to a running lease.
 		s.offerIdleToRunning()
 		s.mu.Lock()
-		finished := s.closed && s.running == 0
+		finished := s.closed && len(s.running) == 0
 		waiting := len(s.queue) > 0
 		s.mu.Unlock()
 		if finished {
@@ -850,7 +854,7 @@ func (s *Server) dispatchOne() bool {
 		j.view = s.tracker.View(sel.Workers)
 		j.join = make(chan int, 8)
 	}
-	s.running++
+	s.running = append(s.running, j)
 	s.log.Info("job running",
 		"job", j.id, "lease", fmt.Sprint(sel.Workers),
 		"algorithm", sel.Algorithm, "makespan", sel.Makespan)
@@ -870,44 +874,24 @@ func (s *Server) offerIdleToRunning() {
 		return
 	}
 	s.mu.Lock()
-	if s.closed || len(s.queue) > 0 || s.running == 0 {
-		s.mu.Unlock()
-		return
-	}
-	var running []*job
-	for _, id := range s.order {
-		if j := s.jobs[id]; j.state == JobRunning && j.join != nil {
-			running = append(running, j)
-		}
-	}
+	skip := s.closed || len(s.queue) > 0 || len(s.running) == 0
 	s.mu.Unlock()
-	if len(running) == 0 {
+	if skip {
 		return
 	}
 	for _, i := range s.fleet.Idle() {
 		s.mu.Lock()
 		var best *job
-		bestSize := 0
-		for _, j := range running {
-			if j.state != JobRunning {
-				continue
-			}
+		for _, j := range s.running {
 			size := len(j.lease)
 			if s.cfg.MaxWorkersPerJob > 0 && size >= s.cfg.MaxWorkersPerJob {
 				continue
 			}
-			held := false
-			for _, w := range j.lease {
-				if w == i {
-					held = true
-					break
-				}
-			}
-			if held {
+			if slices.Contains(j.lease, i) {
 				continue
 			}
-			if best == nil || size < bestSize {
-				best, bestSize = j, size
+			if best == nil || size < len(best.lease) {
+				best = j
 			}
 		}
 		s.mu.Unlock()
@@ -1047,7 +1031,7 @@ func (s *Server) run(j *job, m *mmnet.Master) {
 		s.finishLocked(j, JobFailed, err)
 	}
 	elapsed := j.finished.Sub(j.started)
-	s.running--
+	s.running = slices.DeleteFunc(s.running, func(r *job) bool { return r == j })
 	s.mu.Unlock()
 
 	switch {
@@ -1146,12 +1130,13 @@ func (s *Server) absorbCache(j *job, m *mmnet.Master, lease []int) {
 		if k >= len(snap) || k >= len(stats) {
 			break
 		}
+		st := stats[k]
 		if snap[k] != nil {
 			// nil means the link died mid-job — leave the registry to the
 			// fleet's OnDown invalidation rather than guess.
 			s.registry.Absorb(w, snap[k], queried)
+			s.registry.Trim(w, st.CacheBudget)
 		}
-		st := stats[k]
 		cum := s.cacheCum[w]
 		if cum == nil {
 			cum = &cacheCum{}

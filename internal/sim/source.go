@@ -92,14 +92,15 @@ func NewCarver(r, s, t int, width, height []int, mk func(worker int, ch matrix.C
 	}
 }
 
-// Clone returns an independent copy of the carver's allocation state, so
-// selection heuristics can explore hypothetical assignments exactly.
-func (c *Carver) Clone() *Carver {
-	n := *c
-	n.bandCol0 = append([]int(nil), c.bandCol0...)
-	n.bandW = append([]int(nil), c.bandW...)
-	n.rowsDone = append([]int(nil), c.rowsDone...)
-	return &n
+// CopyFrom makes c an independent copy of src's allocation state, reusing
+// c's slices, so selection heuristics can explore hypothetical assignments
+// exactly on one scratch carver.
+func (c *Carver) CopyFrom(src *Carver) {
+	bandCol0, bandW, rowsDone := c.bandCol0, c.bandW, c.rowsDone
+	*c = *src
+	c.bandCol0 = append(bandCol0[:0], src.bandCol0...)
+	c.bandW = append(bandW[:0], src.bandW...)
+	c.rowsDone = append(rowsDone[:0], src.rowsDone...)
 }
 
 // Peek returns the chunk Next(w) would carve, without committing anything.

@@ -3,11 +3,14 @@
 checked-in BENCH_N.json snapshot and fail CI on real regressions.
 
 Stdlib-only. Two classes of failure, both scoped to the *gated* benchmarks
-(the zero-alloc hot paths, stable enough to compare across runs):
+(hot paths whose allocation count is deterministic, stable enough to
+compare across runs):
 
   * ns/op regression beyond --threshold (default 25%)
-  * ANY growth in allocs/op — these paths are zero-alloc by construction,
-    so a single new allocation per op is a real regression, not noise
+  * ANY growth in allocs/op — BlockMulAdd and CodecReadBlock are zero- and
+    one-alloc by construction, and HetSelection's count is fixed by the
+    instance, so a single new allocation per op is a real regression, not
+    noise
 
 Every other shared benchmark is reported informationally; macro benchmarks
 (figure reproductions, service throughput) are too machine- and
@@ -21,7 +24,7 @@ absolute floor even though the surrounding ns/op is not.
 
 Usage:
     scripts/bench-compare.py FRESH.json [BASELINE.json]
-        [--threshold 0.25] [--gate BlockMulAdd,CodecReadBlock]
+        [--threshold 0.25] [--gate BlockMulAdd,CodecReadBlock,HetSelection]
         [--require 'AffinityThroughput/cache=on:a_saved_frac:0.5']
 
 With no BASELINE, the highest-numbered BENCH_<N>.json in the repo root is
@@ -73,8 +76,9 @@ def main():
     ap.add_argument("baseline", nargs="?", help="snapshot to compare against (default: latest BENCH_<N>.json)")
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="relative ns/op regression that fails a gated benchmark (default 0.25)")
-    ap.add_argument("--gate", default="BlockMulAdd,CodecReadBlock",
-                    help="comma-separated substrings of benchmark names to gate (default: the zero-alloc pair)")
+    ap.add_argument("--gate", default="BlockMulAdd,CodecReadBlock,HetSelection",
+                    help="comma-separated substrings of benchmark names to gate "
+                         "(default: the kernel, codec and Het selection hot paths)")
     ap.add_argument("--require", action="append", default=[], metavar="SUBSTR:METRIC:MIN",
                     help="fail unless a fresh benchmark whose name contains SUBSTR reports "
                          "METRIC, and every such value is >= MIN (fresh-run-only check)")
@@ -111,7 +115,7 @@ def main():
             checks.append(f"allocs/op {old_al:g} -> {new_al:g}")
             if gated and new_al > old_al:
                 failures.append(f"{name}: allocs/op grew {old_al:g} -> {new_al:g} "
-                                "(zero-alloc benchmark; any growth is a regression)")
+                                "(gated allocation floor; any growth is a regression)")
 
         print(line + (": " + ", ".join(checks) if checks else ""))
 
